@@ -3,8 +3,7 @@ approximation, metrics and performance profiles, manifest-driven
 reproduction.
 
 Exit codes: 0 success, 1 usage or data error, 2 empty result, 3 enumeration
-capacity exceeded.  ``SPARSEMOO_THREADS`` caps the worker pool used for
-independent runs in ``reproduce``.
+capacity exceeded.
 """
 
 from __future__ import annotations
@@ -12,21 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import CapacityError, SupportSet, project_sparse, support
+from .core import CapacityError, SupportSet, support
 from .metrics import (
     build_reference_front,
     delta_spread,
     gamma_spread,
     hypervolume_2d,
+    hypervolume_reference_point,
     performance_profiles,
     purity,
     rescale_logistic_objectives,
@@ -39,16 +37,8 @@ from .problems import (
     logistic_problem,
     save_instance,
 )
-from .sfsd import ParetoArchive, filter_nondominated, initialize, sfsd_run
-from .solvers import (
-    default_config,
-    default_lambda_grid,
-    mohyb,
-    moiht,
-    mosd,
-    mospd,
-    scalarized_iht,
-)
+from .sfsd import STRATEGIES, filter_nondominated, initialize, sfsd_run, solve_starts
+from .solvers import default_config, mosd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,6 +52,14 @@ BENCHMARK_GRID = {
 }
 BENCHMARK_KAPPAS = (1.0, 10.0, 100.0)
 
+# Metric table columns after ``solver``, each with whether higher is better.
+METRICS = (
+    ("purity", True),
+    ("gamma_spread", False),
+    ("delta_spread", False),
+    ("hypervolume", True),
+)
+
 
 class EmptyResultError(RuntimeError):
     """A pipeline stage produced no usable rows."""
@@ -72,14 +70,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _threads() -> int:
-    raw = os.environ.get("SPARSEMOO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +140,51 @@ def _load_problem(args):
     raise ValueError("one of --instance or --dataset is required")
 
 
-def _config_for(problem, info, args):
+def _config_for(problem, info, eps=None, solver_budget=None, tau0=None):
     overrides = {}
-    if getattr(args, "eps", None) is not None:
-        overrides["eps"] = args.eps
-    if getattr(args, "solver_budget", None) is not None:
-        overrides["max_iter"] = args.solver_budget
+    if eps is not None:
+        overrides["eps"] = eps
+    if solver_budget is not None:
+        overrides["max_iter"] = solver_budget
     cfg = default_config(problem, family=info["family"], **overrides)
-    if getattr(args, "tau0", None) is not None:
-        cfg = replace(cfg, penalty=replace(cfg.penalty, tau0=args.tau0))
+    if tau0 is not None:
+        cfg = replace(cfg, penalty=replace(cfg.penalty, tau0=tau0))
     return cfg
 
 
 def _default_box(info):
     return (0.0, 1.0) if info["family"] == "logistic" else (-2.0, 2.0)
+
+
+def _deadlines(wallclock):
+    """(phase-one, phase-two) monotonic deadlines splitting ``wallclock``."""
+    if wallclock is None:
+        return None, None
+    now = time.monotonic()
+    return now + wallclock / 2.0, now + wallclock
+
+
+def _run_front(problem, info, strategy, n_starts, seed, cfg, budget,
+               wallclock=None, **sfsd_options):
+    """Both front phases on one problem: ``(final archive, front rows)``.
+
+    The rows are the archive's globally nondominated (fvals, x, J) triples.
+    Raises :class:`EmptyResultError` when a phase leaves no points.
+    """
+    deadline_init, deadline_run = _deadlines(wallclock)
+    archive = initialize(
+        problem, info["s"], strategy, n_starts, seed,
+        _default_box(info), cfg, deadline=deadline_init,
+    )
+    if len(archive) == 0:
+        raise EmptyResultError("initialization produced no usable points")
+    final = sfsd_run(problem, archive, info["s"], cfg, budget,
+                     deadline=deadline_run, **sfsd_options)
+    rows = [(e.fvals, e.x, e.J) for e in final.entries()]
+    keep = filter_nondominated(np.array([r[0] for r in rows]))
+    if keep.size == 0:
+        raise EmptyResultError("front descent produced no points")
+    return final, [rows[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -203,62 +224,23 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _multistart_starts(problem, info, n_starts, seed):
-    lo, hi = _default_box(info)
-    rng = np.random.default_rng(seed)
-    raw = lo + (hi - lo) * rng.random((n_starts, problem.n))
-    return [project_sparse(row, info["s"]) for row in raw]
-
-
 def cmd_solve(args) -> int:
     problem, info = _load_problem(args)
     s = info["s"]
-    cfg = _config_for(problem, info, args)
-    if args.n_starts < 1:
-        raise ValueError("--n-starts must be at least 1")
-
-    deadline_solve = deadline_refine = None
-    if args.wallclock is not None:
-        now = time.monotonic()
-        deadline_solve = now + args.wallclock / 2.0
-        deadline_refine = now + args.wallclock
-
-    points = []
-    iteration_counts = []
-    if args.strategy == "scalarized":
-        grid = default_lambda_grid(problem.n)
-        points = scalarized_iht(problem, s, grid, np.zeros(problem.n), cfg)
-        iteration_counts = [None] * len(points)
-    else:
-        for x0 in _multistart_starts(problem, info, args.n_starts, args.seed):
-            if deadline_solve is not None and time.monotonic() > deadline_solve:
-                break
-            if args.strategy == "moiht":
-                x, trace = moiht(problem, x0, s, cfg)
-                iteration_counts.append(len(trace.iterates) - 1)
-            elif args.strategy == "mospd":
-                x, pd_info = mospd(problem, x0, s, cfg, full_output=True)
-                iteration_counts.append(pd_info["outer_iterations"])
-            elif args.strategy == "mohyb":
-                x, hy_info = mohyb(problem, x0, s, cfg, full_output=True)
-                iteration_counts.append(hy_info["moiht_iterations"])
-            else:
-                raise ValueError(f"unknown strategy {args.strategy!r}")
-            points.append(x)
-
-    refined = []
-    for x in points:
-        if deadline_refine is not None and time.monotonic() > deadline_refine:
-            refined.append(x)
-            continue
-        sup = support(x)
-        if sup.size:  # refine on the point's own support, zeros stay fixed
-            J = SupportSet(tuple(int(i) for i in sup), problem.n)
-            x = mosd(problem, x, J, cfg.eps, cfg)
-        refined.append(x)
+    cfg = _config_for(problem, info, args.eps, args.solver_budget, args.tau0)
+    deadline_solve, deadline_refine = _deadlines(args.wallclock)
+    points, iteration_counts = solve_starts(
+        problem, s, args.strategy, args.n_starts, args.seed,
+        _default_box(info), cfg, deadline_solve,
+    )
 
     rows = []
-    for x in refined:
+    for x in points:
+        sup = support(x)
+        # refine on the point's own support, zeros stay fixed
+        if sup.size and (deadline_refine is None or time.monotonic() <= deadline_refine):
+            J = SupportSet(tuple(int(i) for i in sup), problem.n)
+            x = mosd(problem, x, J, cfg.eps, cfg)
         if not np.all(np.isfinite(x)):
             continue
         fv = np.asarray(problem.evaluate(x), dtype=float)
@@ -290,46 +272,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _archive_rows(archive: ParetoArchive):
-    rows = [(e.fvals, e.x, e.J) for e in archive.entries()]
-    keep = filter_nondominated(np.array([r[0] for r in rows]))
-    return [rows[i] for i in keep]
-
-
 def cmd_front(args) -> int:
     problem, info = _load_problem(args)
-    s = info["s"]
-    cfg = _config_for(problem, info, args)
-    if args.n_starts < 1:
-        raise ValueError("--n-starts must be at least 1")
-
-    deadline_init = deadline_run = None
-    if args.wallclock is not None:
-        now = time.monotonic()
-        deadline_init = now + args.wallclock / 2.0
-        deadline_run = now + args.wallclock
-
-    archive = initialize(
-        problem, s, args.strategy, args.n_starts, args.seed,
-        _default_box(info), cfg, deadline=deadline_init,
+    cfg = _config_for(problem, info, args.eps, args.solver_budget, args.tau0)
+    final, rows = _run_front(
+        problem, info, args.strategy, args.n_starts, args.seed, cfg, args.budget,
+        args.wallclock, crowding=args.crowding, explore_spacing=args.explore_spacing,
     )
-    if len(archive) == 0:
-        raise EmptyResultError("initialization produced no usable points")
-    final = sfsd_run(
-        problem, archive, s, cfg, args.budget,
-        crowding=args.crowding, explore_spacing=args.explore_spacing,
-        deadline=deadline_run,
-    )
-    rows = _archive_rows(final)
-    if not rows:
-        raise EmptyResultError("front descent produced no points")
     write_front_csv(args.out, rows, problem.n, problem.m)
     _write_meta(args.out, {
         "command": "front",
         "strategy": args.strategy,
         "seed": args.seed,
         "n_starts": args.n_starts,
-        "s": s,
+        "s": info["s"],
         "budget": args.budget,
         "crowding": args.crowding,
         "explore_spacing": args.explore_spacing,
@@ -355,6 +311,30 @@ def _parse_named_fronts(items):
     return named
 
 
+def _write_metrics_table(path, named, reference, spread=None):
+    """One metrics row per (name, front) pair, measured against ``reference``.
+
+    ``spread`` optionally gives (fronts, reference) in rescaled coordinates
+    for the two spread metrics.  Returns the hypervolume reference point.
+    """
+    ref_point = hypervolume_reference_point(reference)
+    spread_fronts, spread_ref = spread or ([F for _, F in named], reference)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["solver"] + [metric for metric, _ in METRICS])
+        for (name, F), Fs in zip(named, spread_fronts):
+            writer.writerow([
+                name,
+                repr(purity(F, reference)),
+                repr(gamma_spread(Fs, spread_ref)),
+                repr(delta_spread(Fs, spread_ref)),
+                repr(hypervolume_2d(F, ref_point)),
+            ])
+    return ref_point
+
+
 def cmd_metrics(args) -> int:
     named = _parse_named_fronts(args.front)
     if not named:
@@ -367,60 +347,37 @@ def cmd_metrics(args) -> int:
         reference = build_reference_front([reference])
     if reference.shape[0] == 0:
         raise EmptyResultError("reference front is empty")
-    ref_point = (reference.max(axis=0) * 1.1).tolist()
 
-    spread_fronts = fronts
-    spread_ref = reference
+    spread = None
     if args.logistic_scaling:
         rescaled = rescale_logistic_objectives(fronts + [reference])
-        spread_fronts, spread_ref = rescaled[:-1], rescaled[-1]
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "purity", "gamma_spread", "delta_spread", "hypervolume"])
-        for (name, F), Fs in zip(named, spread_fronts):
-            writer.writerow([
-                name,
-                repr(purity(F, reference)),
-                repr(gamma_spread(Fs, spread_ref)),
-                repr(delta_spread(Fs, spread_ref)),
-                repr(hypervolume_2d(F, np.asarray(ref_point))),
-            ])
-    _write_meta(out, {
+        spread = (rescaled[:-1], rescaled[-1])
+    ref_point = _write_metrics_table(args.out, named, reference, spread)
+    _write_meta(args.out, {
         "command": "metrics",
         "reference": args.reference,
         "reference_points": int(reference.shape[0]),
-        "ref_point": ref_point,
+        "ref_point": ref_point.tolist(),
         "logistic_scaling": bool(args.logistic_scaling),
         "fronts": [name for name, _ in named],
     })
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _read_metric_table(path):
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader)
-
-
-def cmd_profiles(args) -> int:
-    tables = {Path(p).stem: _read_metric_table(p) for p in args.metrics_csv}
+def _write_profiles(metrics_csvs, out_dir):
+    """Per-metric profile CSVs over metric tables, one table per problem."""
+    tables = {}
+    for path in metrics_csvs:
+        with Path(path).open(newline="") as fh:
+            tables[Path(path).stem] = list(csv.DictReader(fh))
     if not tables:
         raise ValueError("at least one --metrics-csv is required")
     solvers = sorted({row["solver"] for rows in tables.values() for row in rows})
     problems = sorted(tables)
-    metric_specs = [
-        ("purity", True),
-        ("gamma_spread", False),
-        ("delta_spread", False),
-        ("hypervolume", True),
-    ]
-    out_dir = Path(args.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for metric, higher in metric_specs:
+    for metric, higher in METRICS:
         V = np.full((len(problems), len(solvers)), np.nan)
         for i, prob in enumerate(problems):
             for row in tables[prob]:
@@ -438,7 +395,11 @@ def cmd_profiles(args) -> int:
             for curve in curves:
                 for t, r in zip(curve.taus, curve.rhos):
                     writer.writerow([curve.solver, repr(float(t)), repr(float(r))])
-    print(f"wrote profiles for {len(metric_specs)} metrics to {out_dir}")
+
+
+def cmd_profiles(args) -> int:
+    _write_profiles(args.metrics_csv, args.out_dir)
+    print(f"wrote profiles for {len(METRICS)} metrics to {args.out_dir}")
     return EXIT_OK
 
 
@@ -446,28 +407,47 @@ def cmd_profiles(args) -> int:
 # manifest-driven reproduction
 
 
-def _front_task(problem, s, family, strategy, n_starts, budget, solver_budget,
-                seed_entropy):
-    seed = np.random.SeedSequence(seed_entropy).generate_state(1)[0]
-    cfg = default_config(problem, family=family, max_iter=solver_budget)
-    box = (0.0, 1.0) if family == "logistic" else (-2.0, 2.0)
-    archive = initialize(problem, s, strategy, n_starts, int(seed), box, cfg)
-    if len(archive) == 0:
-        return None
-    final = sfsd_run(problem, archive, s, cfg, budget)
-    rows = _archive_rows(final)
-    return rows or None
+def _load_manifest(path):
+    """The manifest JSON, with its instances, strategies and run seeds checked."""
+    with path.open() as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise DataError("manifest must be a JSON object")
+    instances = manifest.get("instances")
+    if not isinstance(instances, list) or not instances:
+        raise DataError("manifest 'instances' must be a non-empty list")
+    for i, entry in enumerate(instances):
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest 'instances[{i}]' must be an object")
+        if "path" in entry:
+            continue
+        need = ("s",) if entry.get("type") == "example4" else ("n", "kappa", "s")
+        missing = [key for key in need if key not in entry]
+        if missing:
+            raise DataError(
+                f"manifest 'instances[{i}]' lacks {', '.join(map(repr, missing))}; "
+                "an entry needs 'path', 'type': 'example4' with 's', "
+                "or 'n', 'kappa' and 's'"
+            )
+    strategies = manifest.setdefault("strategies", ["mohyb"])
+    if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
+        raise DataError(f"manifest 'strategies' must be a list drawn from {list(STRATEGIES)}")
+    run_seeds = manifest.setdefault("run_seeds", [0])
+    if not isinstance(run_seeds, list) or not all(
+        isinstance(r, int) and not isinstance(r, bool) for r in run_seeds
+    ):
+        raise DataError("manifest 'run_seeds' must be a list of integers")
+    return manifest
 
 
 def cmd_reproduce(args) -> int:
     manifest_path = Path(args.manifest)
-    with manifest_path.open() as fh:
-        manifest = json.load(fh)
+    manifest = _load_manifest(manifest_path)
     out_dir = Path(manifest.get("out_dir", manifest_path.parent / "reproduce_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    strategies = manifest.get("strategies", ["mohyb"])
-    run_seeds = manifest.get("run_seeds", [0])
+    strategies = manifest["strategies"]
+    run_seeds = manifest["run_seeds"]
     n_starts = int(manifest.get("n_starts", 10))
     sfsd_budget = int(manifest.get("sfsd_budget", 10))
     solver_budget = int(manifest.get("solver_budget", 10_000))
@@ -495,83 +475,50 @@ def cmd_reproduce(args) -> int:
             )
             save_instance(path, inst, entry["s"])
             inst_files.append(path)
+    loaded = [load_instance(path) for path in inst_files]
 
-    tasks = []
-    for ii, path in enumerate(inst_files):
-        problem, info = load_instance(path)
-        for si, strategy in enumerate(strategies):
-            for ri, run_seed in enumerate(run_seeds):
-                tasks.append((ii, path.stem, problem, info, si, strategy, ri, run_seed))
-
-    def run_task(task):
-        ii, stem, problem, info, si, strategy, ri, run_seed = task
-        rows = _front_task(
-            problem, info["s"], info["family"], strategy, n_starts,
-            sfsd_budget, solver_budget,
-            (root_seed, ii, si, int(run_seed)),
-        )
-        return task, rows
-
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
-    front_dir = out_dir / "fronts"
+    # Runs go serially in manifest order: instance, strategy, run seed.
     by_instance: dict = {}
-    for (ii, stem, problem, info, si, strategy, ri, run_seed), rows in results:
-        if rows is None:
-            continue
-        path = front_dir / stem / f"{strategy}_seed{run_seed}.csv"
-        write_front_csv(path, rows, problem.n, problem.m)
-        F = np.array([r[0] for r in rows])
-        by_instance.setdefault(stem, []).append((strategy, int(run_seed), F))
+    for ii, (path, (problem, info)) in enumerate(zip(inst_files, loaded)):
+        cfg = _config_for(problem, info, solver_budget=solver_budget)
+        for si, strategy in enumerate(strategies):
+            for run_seed in run_seeds:
+                seed = np.random.SeedSequence((root_seed, ii, si, run_seed)).generate_state(1)[0]
+                try:
+                    _, rows = _run_front(problem, info, strategy, n_starts, int(seed),
+                                         cfg, sfsd_budget)
+                except EmptyResultError:
+                    continue
+                front_csv = out_dir / "fronts" / path.stem / f"{strategy}_seed{run_seed}.csv"
+                write_front_csv(front_csv, rows, problem.n, problem.m)
+                F = np.array([r[0] for r in rows])
+                by_instance.setdefault(path.stem, []).append((strategy, F))
 
     if not by_instance:
         raise EmptyResultError("no fronts were produced")
 
     # Per instance: combined reference over every produced front, then keep
     # the best and worst run per strategy by purity.
-    metrics_dir = out_dir / "metrics"
-    metrics_dir.mkdir(exist_ok=True)
-    best_files, worst_files = [], []
+    tables: dict = {"best": [], "worst": []}
     for stem, runs in sorted(by_instance.items()):
-        reference = build_reference_front([F for _, _, F in runs])
-        ref_point = reference.max(axis=0) * 1.1
+        reference = build_reference_front([F for _, F in runs])
         per_strategy: dict = {}
-        for strategy, run_seed, F in runs:
-            per_strategy.setdefault(strategy, []).append((purity(F, reference), run_seed, F))
+        for strategy, F in runs:
+            per_strategy.setdefault(strategy, []).append((purity(F, reference), F))
         for tag, chooser in (("best", max), ("worst", min)):
-            path = metrics_dir / f"{stem}_{tag}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["solver", "purity", "gamma_spread", "delta_spread", "hypervolume"]
-                )
-                for strategy in sorted(per_strategy):
-                    pur, _, F = chooser(per_strategy[strategy], key=lambda t: t[0])
-                    writer.writerow([
-                        strategy,
-                        repr(pur),
-                        repr(gamma_spread(F, reference)),
-                        repr(delta_spread(F, reference)),
-                        repr(hypervolume_2d(F, ref_point)),
-                    ])
-            (best_files if tag == "best" else worst_files).append(path)
-
-    for tag, files in (("best", best_files), ("worst", worst_files)):
-        ns = argparse.Namespace(metrics_csv=[str(f) for f in files],
-                                out_dir=str(out_dir / "profiles" / tag))
-        cmd_profiles(ns)
+            chosen = [(strategy, chooser(per_strategy[strategy], key=lambda t: t[0])[1])
+                      for strategy in sorted(per_strategy)]
+            path = out_dir / "metrics" / f"{stem}_{tag}.csv"
+            _write_metrics_table(path, chosen, reference)
+            tables[tag].append(path)
+    for tag, files in tables.items():
+        _write_profiles(files, out_dir / "profiles" / tag)
 
     summary = {
         "manifest": str(manifest_path),
         "instances": [str(p) for p in inst_files],
         "strategies": strategies,
-        "run_seeds": [int(v) for v in run_seeds],
-        "threads": workers,
+        "run_seeds": run_seeds,
         "note": (
             "reference fronts combine only the runs in this manifest; with "
             "few seeds they are sparser than a full-protocol reference"
@@ -633,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     add_common_problem_flags(solve)
     solve.add_argument("--strategy", default="mohyb",
-                       choices=["moiht", "mospd", "mohyb", "scalarized"])
+                       choices=STRATEGIES)
     solve.add_argument("--n-starts", type=int, default=10, help="number of starts")
     solve.add_argument("--out", required=True, help="output front CSV")
     solve.set_defaults(func=cmd_solve)
@@ -642,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     add_common_problem_flags(front)
     front.add_argument("--strategy", default="mohyb",
-                       choices=["moiht", "mospd", "mohyb", "scalarized"],
+                       choices=STRATEGIES,
                        help="phase-one initialization strategy")
     front.add_argument("--n-starts", type=int, default=10, help="number of starts")
     front.add_argument("--budget", type=int, default=20, help="front descent sweeps")

@@ -177,6 +177,19 @@ def hypervolume_2d(front, ref_point) -> float:
     return float(np.sum((right - F[:, 0]) * (r[1] - F[:, 1])))
 
 
+def hypervolume_reference_point(reference) -> np.ndarray:
+    """Hypervolume reference point ``max + 0.1 (max - min)`` per objective.
+
+    An objective whose range is 0 uses ``max + 0.1 max(|max|, 1)``.  The
+    point lies beyond the reference front whatever the objectives' signs.
+    """
+    F = _as_front(reference)
+    hi, lo = F.max(axis=0), F.min(axis=0)
+    span = hi - lo
+    flat = np.maximum(np.abs(hi), 1.0)
+    return hi + 0.1 * np.where(span > 0, span, flat)
+
+
 def performance_profiles(values, higher_is_better: bool = False,
                          solvers=None) -> list:
     """Dolan-More profile curves from a problems-by-solvers value matrix.

@@ -9,6 +9,7 @@ its own mutually nondominated slice of the front.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ from .solvers import (
 # below it a direction is numerically indistinguishable from stationarity.
 THETA_TOL = 1e-10
 DEDUPE_TOL = 1e-10
+
+# Phase-one strategies, in the order the CLI lists them.
+STRATEGIES = ("moiht", "mospd", "mohyb", "scalarized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,56 +238,68 @@ def assign_super_support(p: MultiObjectiveProblem, x: np.ndarray, s: int,
     return x, SupportSet(tuple(sorted(taken.union(fill))), p.n)
 
 
+def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
+                 seed: int, box, cfg: SolverConfig, deadline: float | None = None):
+    """Multi-start a single-point solver; returns ``(points, iteration_counts)``.
+
+    ``n_starts`` points are sampled uniformly from ``box`` (a (lo, hi) pair
+    or an (n, 2) array of per-coordinate intervals), projected onto the
+    sparsity set and handed to the chosen solver.  A point's iteration
+    count is moiht's iterations, mospd's outer iterations or the moiht
+    stage's iterations of mohyb.
+
+    ``strategy='scalarized'`` instead runs the deterministic trade-off grid
+    of ``2n`` weights from the zero start; ``n_starts``/``seed``/``box``
+    are ignored for it and its counts are ``None``.
+
+    With ``deadline`` (a ``time.monotonic()`` stamp) no new start is
+    processed past the deadline; results are otherwise deterministic.
+    """
+    s = check_budget(s, p.n)
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
+    if strategy == "scalarized":
+        points = scalarized_iht(p, s, default_lambda_grid(p.n), np.zeros(p.n), cfg)
+        return points, [None] * len(points)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown initialization strategy {strategy!r}")
+    box_arr = np.asarray(box, dtype=float)
+    if box_arr.shape == (2,):
+        box_arr = np.tile(box_arr, (p.n, 1))
+    if box_arr.shape != (p.n, 2):
+        raise ValueError("box must be a (lo, hi) pair or an (n, 2) array")
+    rng = np.random.default_rng(seed)
+    starts = box_arr[:, 0] + (box_arr[:, 1] - box_arr[:, 0]) * rng.random((n_starts, p.n))
+    points, counts = [], []
+    for start in starts:
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        x0 = project_sparse(start, s)
+        if strategy == "moiht":
+            x, trace = moiht(p, x0, s, cfg)
+            counts.append(len(trace.iterates) - 1)
+        elif strategy == "mospd":
+            x, info = mospd(p, x0, s, cfg, full_output=True)
+            counts.append(info["outer_iterations"])
+        else:
+            x, info = mohyb(p, x0, s, cfg, full_output=True)
+            counts.append(info["moiht_iterations"])
+        points.append(x)
+    return points, counts
+
+
 def initialize(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
                seed: int, box, cfg: SolverConfig | None = None,
                deadline: float | None = None) -> ParetoArchive:
     """Phase one: multi-start a single-point solver and archive the results.
 
-    ``n_starts`` points are sampled uniformly from ``box`` (a (lo, hi) pair
-    or an (n, 2) array of per-coordinate intervals), projected onto the
-    sparsity set and handed to the chosen solver.  Each output is assigned
-    a super support and per-key dominated entries are filtered out.
-
-    ``strategy='scalarized'`` instead runs the deterministic trade-off grid
-    of ``2n`` weights from the zero start; ``n_starts``/``seed``/``box``
-    are ignored for it.  Entries with non-finite objective values are
-    dropped; the archive may come out empty.
-
-    With ``deadline`` (a ``time.monotonic()`` stamp) no new start is
-    processed past the deadline; results are otherwise deterministic.
+    The starts are solved by :func:`solve_starts` (same arguments).  Each
+    output is assigned a super support and per-key dominated entries are
+    filtered out.  Entries with non-finite objective values are dropped;
+    the archive may come out empty.
     """
-    import time
-
-    s = check_budget(s, p.n)
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
     cfg = cfg if cfg is not None else default_config(p)
-
-    if strategy == "scalarized":
-        points = scalarized_iht(p, s, default_lambda_grid(p.n), np.zeros(p.n), cfg)
-    elif strategy in ("moiht", "mospd", "mohyb"):
-        box_arr = np.asarray(box, dtype=float)
-        if box_arr.shape == (2,):
-            box_arr = np.tile(box_arr, (p.n, 1))
-        if box_arr.shape != (p.n, 2):
-            raise ValueError("box must be a (lo, hi) pair or an (n, 2) array")
-        rng = np.random.default_rng(seed)
-        starts = box_arr[:, 0] + (box_arr[:, 1] - box_arr[:, 0]) * rng.random((n_starts, p.n))
-        points = []
-        for i in range(n_starts):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            x0 = project_sparse(starts[i], s)
-            if strategy == "moiht":
-                x, _ = moiht(p, x0, s, cfg)
-            elif strategy == "mospd":
-                x = mospd(p, x0, s, cfg)
-            else:
-                x = mohyb(p, x0, s, cfg)
-            points.append(x)
-    else:
-        raise ValueError(f"unknown initialization strategy {strategy!r}")
-
+    points, _ = solve_starts(p, s, strategy, n_starts, seed, box, cfg, deadline)
     entries = []
     for x in points:
         if not np.all(np.isfinite(x)):
@@ -379,8 +395,6 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     subspace stationarity within ``final_eps`` and re-filters each key, so
     final entries satisfy the subspace optimality test at that tolerance.
     """
-    import time
-
     s = check_budget(s, p.n)
     work = archive0.copy()
     prev = work.state()

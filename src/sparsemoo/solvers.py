@@ -210,15 +210,6 @@ def _penalized(p: MultiObjectiveProblem, y: np.ndarray, tau: float) -> MultiObje
     )
 
 
-_FULL_CACHE: dict = {}
-
-
-def _full_support(n: int) -> SupportSet:
-    if n not in _FULL_CACHE:
-        _FULL_CACHE[n] = SupportSet(tuple(range(n)), n)
-    return _FULL_CACHE[n]
-
-
 def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
           full_output: bool = False):
     """Sparse penalty decomposition: alternate penalized descent and projection.
@@ -234,7 +225,7 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
     s = check_budget(s, p.n)
     if not is_feasible(x0, s):
         raise ValueError(f"infeasible start: {l0_norm(x0)} nonzeros with s={s}")
-    full = _full_support(p.n)
+    full = SupportSet(tuple(range(p.n)), p.n)
     pen = cfg.penalty
     x = x0.copy()
     y = project_sparse(x, s)
@@ -283,18 +274,15 @@ def mohyb(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
     The second stage starts from the first stage's output, so whenever it
     converges the result is L-stationary within ``cfg.eps``.
     """
-    if full_output:
-        x1, info1 = mospd(p, x0, s, cfg, full_output=True)
-        x2, trace = moiht(p, x1, s, cfg)
-        info = {
-            "mospd": info1,
-            "moiht_iterations": len(trace.iterates) - 1,
-            "status": trace.status,
-        }
-        return x2, info
-    x1 = mospd(p, x0, s, cfg)
-    x2, _ = moiht(p, x1, s, cfg)
-    return x2
+    x1, info1 = mospd(p, x0, s, cfg, full_output=True)
+    x2, trace = moiht(p, x1, s, cfg)
+    if not full_output:
+        return x2
+    return x2, {
+        "mospd": info1,
+        "moiht_iterations": len(trace.iterates) - 1,
+        "status": trace.status,
+    }
 
 
 def default_lambda_grid(n: int) -> np.ndarray:

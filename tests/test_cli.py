@@ -171,7 +171,19 @@ class TestMetricsAndProfiles:
         assert float(rows["A"]["purity"]) == 1.0
         assert float(rows["B"]["purity"]) == 0.5  # (2.5, 2.5) is dominated
         meta = json.loads(Path(str(out) + ".meta.json").read_text())
-        np.testing.assert_allclose(meta["ref_point"], [3.0 * 1.1, 3.0 * 1.1])
+        # max + 0.1 * (max - min) per objective over the combined reference
+        np.testing.assert_allclose(meta["ref_point"], [3.2, 3.2])
+
+    def test_negative_fronts_positive_hypervolume(self, tmp_path):
+        # 1.1 * max would put the reference point inside this front
+        fa = tmp_path / "a.csv"
+        self._write_front(fa, [(-1.0, -0.5), (-0.6, -0.9)])
+        out = tmp_path / "metrics.csv"
+        assert run("metrics", "--front", f"A={fa}", "--out", out) == 0
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert float(row[4]) > 0.0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        np.testing.assert_allclose(meta["ref_point"], [-0.56, -0.46])
 
     def test_front_equal_to_reference_self_metrics(self, tmp_path):
         fa = tmp_path / "a.csv"
@@ -250,27 +262,73 @@ class TestReproduce:
         }))
         assert run("reproduce", manifest) == 1
 
-    def test_thread_env_deterministic(self, tmp_path, monkeypatch):
-        # end-to-end byte-identical outputs, independent of the worker count
+    def test_repeat_runs_byte_identical(self, tmp_path):
         outputs = []
-        for workers, sub in (("1", "o1"), ("2", "o2")):
-            monkeypatch.setenv("SPARSEMOO_THREADS", workers)
+        for sub in ("o1", "o2"):
             manifest = tmp_path / f"m_{sub}.json"
             manifest.write_text(json.dumps({
                 "seed": 3,
                 "out_dir": str(tmp_path / sub),
                 "instances": [{"type": "example4", "s": 1}],
-                "strategies": ["moiht"],
+                "strategies": ["moiht", "scalarized"],
                 "run_seeds": [0, 1],
                 "n_starts": 3,
                 "sfsd_budget": 3,
             }))
             assert run("reproduce", manifest) == 0
-            files = sorted((tmp_path / sub / "fronts").rglob("*.csv"))
-            files += sorted((tmp_path / sub / "metrics").glob("*.csv"))
-            files += sorted((tmp_path / sub / "profiles").rglob("*.csv"))
-            outputs.append(b"".join(p.read_bytes() for p in files))
+            root = tmp_path / sub
+            files = sorted((root / "fronts").rglob("*.csv"))
+            files += sorted((root / "metrics").glob("*.csv"))
+            files += sorted((root / "profiles").rglob("*.csv"))
+            outputs.append({str(f.relative_to(root)): f.read_bytes() for f in files})
+        assert len(outputs[0]) == 4 + 2 + 8
         assert outputs[0] == outputs[1]
+
+    def test_front_command_matches_reproduce_front(self, tmp_path):
+        seed, n_starts, budget, solver_budget = 5, 3, 4, 2000
+        strategies, run_seeds = ["moiht", "mohyb"], [0, 2]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "seed": seed,
+            "out_dir": str(tmp_path / "out"),
+            "instances": [{"n": 6, "kappa": 10.0, "s": 3, "seed": 1}],
+            "strategies": strategies,
+            "run_seeds": run_seeds,
+            "n_starts": n_starts,
+            "sfsd_budget": budget,
+            "solver_budget": solver_budget,
+        }))
+        assert run("reproduce", manifest) == 0
+        stem = "quad_n6_k10_s3_seed1"
+        inst = tmp_path / "out" / "instances" / f"{stem}.json"
+        si, ri = 1, 1
+        run_seed = np.random.SeedSequence((seed, 0, si, run_seeds[ri])).generate_state(1)[0]
+        out = tmp_path / "front.csv"
+        assert run("front", "--instance", inst, "--strategy", strategies[si],
+                   "--seed", int(run_seed), "--n-starts", n_starts, "--budget", budget,
+                   "--solver-budget", solver_budget, "--out", out) == 0
+        expected = tmp_path / "out" / "fronts" / stem / f"{strategies[si]}_seed{run_seeds[ri]}.csv"
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("manifest, field", [
+        ({}, "instances"),
+        ({"instances": []}, "instances"),
+        ({"instances": {"n": 6, "kappa": 10.0, "s": 3}}, "instances"),
+        ({"instances": ["example4"]}, "instances[0]"),
+        ({"instances": [{"type": "example4"}]}, "'s'"),
+        ({"instances": [{"n": 6, "s": 3}]}, "'kappa'"),
+        ({"instances": [{"type": "example4", "s": 1}], "strategies": ["sfsd"]}, "strategies"),
+        ({"instances": [{"type": "example4", "s": 1}], "strategies": "moiht"}, "strategies"),
+        ({"instances": [{"type": "example4", "s": 1}], "run_seeds": [0, "1"]}, "run_seeds"),
+        ({"instances": [{"type": "example4", "s": 1}], "run_seeds": [0.5]}, "run_seeds"),
+    ])
+    def test_invalid_manifest_rejected(self, tmp_path, capsys, manifest, field):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**manifest, "out_dir": str(out_dir)}))
+        assert run("reproduce", path) == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()  # rejected before any work starts
 
 
 class TestTopLevel:

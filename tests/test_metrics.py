@@ -11,6 +11,8 @@ from sparsemoo import (
     rescale_logistic_objectives,
 )
 
+from sparsemoo.metrics import hypervolume_reference_point
+
 from oracles import mc_hypervolume
 
 
@@ -152,6 +154,12 @@ class TestHypervolume:
         exact = hypervolume_2d(front, ref)
         est, sigma = mc_hypervolume(front, ref, n_samples=300_000, seed=0)
         assert abs(exact - est) <= 3 * sigma + 1e-9
+
+    def test_reference_point_flat_objective(self):
+        # zero range: max + 0.1 * max(|max|, 1)
+        np.testing.assert_allclose(hypervolume_reference_point([[0.5, -3.0]]), [0.6, -2.7])
+        np.testing.assert_allclose(hypervolume_reference_point([[2.0, 1.0], [1.0, 1.0]]),
+                                   [2.1, 1.1])
 
 
 class TestProfiles:
