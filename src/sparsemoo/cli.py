@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -94,18 +95,34 @@ def write_front_csv(path, rows, n: int, m: int):
 
 
 def read_front_csv(path):
-    """Returns (F, X, supports) with supports as 0-based index tuples."""
+    """Returns (F, X, supports) with supports as 0-based index tuples.
+
+    The header must open with the objective columns ``f1, f2, ...`` followed
+    by ``support``; a row with another cell count or a non-numeric cell
+    raises :class:`DataError` naming ``path:line``.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        m = sum(1 for h in header if h.startswith("f") and h[1:].isdigit())
+        header = next(reader, [])
+        m = 0
+        while m < len(header) and header[m] == f"f{m + 1}":
+            m += 1
+        if m == 0 or header[m:m + 1] != ["support"]:
+            raise DataError(
+                f"{path}:1: header must be f1, ..., f<m>, support, x_1, ..., x_<n>"
+            )
         fs, xs, sups = [], [], []
-        for row in reader:
-            fs.append([float(v) for v in row[:m]])
-            sup = row[m]
-            sups.append(tuple(int(i) - 1 for i in sup.split("|")) if sup else ())
-            xs.append([float(v) for v in row[m + 1:]])
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            try:
+                fs.append([float(v) for v in row[:m]])
+                sup = row[m]
+                sups.append(tuple(int(i) - 1 for i in sup.split("|")) if sup else ())
+                xs.append([float(v) for v in row[m + 1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     return np.array(fs), np.array(xs), sups
 
 
@@ -407,8 +424,18 @@ def cmd_profiles(args) -> int:
 # manifest-driven reproduction
 
 
+def _check_number(field, value, minimum, integer=True):
+    """Raise :class:`DataError` naming ``field`` unless ``value >= minimum``
+    is a finite JSON number (an integer when ``integer``)."""
+    kinds = int if integer else (int, float)
+    if (not isinstance(value, kinds) or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value)) or value < minimum):
+        kind = "an integer" if integer else "a number"
+        raise DataError(f"manifest '{field}' must be {kind} >= {minimum}, got {value!r}")
+
+
 def _load_manifest(path):
-    """The manifest JSON, with its instances, strategies and run seeds checked."""
+    """The manifest JSON, with its instances, strategies, seeds and budgets checked."""
     with path.open() as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -421,7 +448,8 @@ def _load_manifest(path):
             raise DataError(f"manifest 'instances[{i}]' must be an object")
         if "path" in entry:
             continue
-        need = ("s",) if entry.get("type") == "example4" else ("n", "kappa", "s")
+        example4 = entry.get("type") == "example4"
+        need = ("s",) if example4 else ("n", "kappa", "s")
         missing = [key for key in need if key not in entry]
         if missing:
             raise DataError(
@@ -429,14 +457,25 @@ def _load_manifest(path):
                 "an entry needs 'path', 'type': 'example4' with 's', "
                 "or 'n', 'kappa' and 's'"
             )
+        n = 2 if example4 else entry["n"]  # the worked example is 2-D
+        _check_number(f"instances[{i}].n", n, 2)
+        _check_number(f"instances[{i}].s", entry["s"], 1)
+        if entry["s"] >= n:
+            raise DataError(f"manifest 'instances[{i}].s' must be below n={n}, got {entry['s']}")
+        if not example4:
+            _check_number(f"instances[{i}].kappa", entry["kappa"], 1, integer=False)
+            _check_number(f"instances[{i}].seed", entry.get("seed", 0), 0)
     strategies = manifest.setdefault("strategies", ["mohyb"])
     if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
         raise DataError(f"manifest 'strategies' must be a list drawn from {list(STRATEGIES)}")
     run_seeds = manifest.setdefault("run_seeds", [0])
-    if not isinstance(run_seeds, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in run_seeds
-    ):
+    if not isinstance(run_seeds, list):
         raise DataError("manifest 'run_seeds' must be a list of integers")
+    for r, run_seed in enumerate(run_seeds):
+        _check_number(f"run_seeds[{r}]", run_seed, 0)
+    _check_number("seed", manifest.get("seed", 0), 0)
+    for key in ("n_starts", "sfsd_budget", "solver_budget"):
+        _check_number(key, manifest.get(key, 1), 1)
     return manifest
 
 
@@ -448,10 +487,10 @@ def cmd_reproduce(args) -> int:
 
     strategies = manifest["strategies"]
     run_seeds = manifest["run_seeds"]
-    n_starts = int(manifest.get("n_starts", 10))
-    sfsd_budget = int(manifest.get("sfsd_budget", 10))
-    solver_budget = int(manifest.get("solver_budget", 10_000))
-    root_seed = int(manifest.get("seed", 0))
+    n_starts = manifest.get("n_starts", 10)
+    sfsd_budget = manifest.get("sfsd_budget", 10)
+    solver_budget = manifest.get("solver_budget", 10_000)
+    root_seed = manifest.get("seed", 0)
 
     # Materialize instances first; every referenced file must exist up front.
     inst_dir = out_dir / "instances"

@@ -30,8 +30,10 @@ from .core import (
 )
 from .simplex_qp import DirectionSolution, solve_simplex_qp
 
-# Default cap on enumerated supports; C(n, s) beyond this raises CapacityError.
+# Cap on enumerated supports; C(n, k) beyond this raises CapacityError.
 MAX_SUPPORTS = 2_000_000
+# Enumerations up to _CACHE_LIMIT rows are built once and cached; larger ones
+# stream in blocks of _CHUNK rows.
 _CHUNK = 131_072
 _CACHE_LIMIT = 100_000
 
@@ -51,68 +53,79 @@ class SparseDirectionSolution:
     lam: np.ndarray
 
 
-def _support_array(n: int, s: int):
-    """All size-s subsets of range(n) as an (N, s) array, lexicographic."""
-    count = math.comb(n, s)
-    if count <= _CACHE_LIMIT:
-        return _support_array_cached(n, s)
-    return None
+def _index_rows(combos, count: int, k: int) -> np.ndarray:
+    """The next ``count`` k-subsets from ``combos`` as a (count, k) array."""
+    flat = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp, count=count * k)
+    return flat.reshape(count, k)
 
 
 @functools.lru_cache(maxsize=64)
-def _support_array_cached(n: int, s: int) -> np.ndarray:
-    arr = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), s)),
-        dtype=np.intp,
-        count=math.comb(n, s) * s,
-    ).reshape(-1, s)
+def _all_supports(n: int, k: int) -> np.ndarray:
+    arr = _index_rows(itertools.combinations(range(n), k), math.comb(n, k), k)
     arr.setflags(write=False)
     return arr
 
 
-def _iter_support_chunks(n: int, s: int):
-    cached = _support_array(n, s)
-    if cached is not None:
-        yield 0, cached
-        return
-    it = itertools.combinations(range(n), s)
-    offset = 0
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        arr = np.array(block, dtype=np.intp)
-        yield offset, arr
-        offset += arr.shape[0]
+def _support_chunks(n: int, k: int):
+    """Every size-k subset of range(n), lexicographic, as (N, k) row blocks.
 
-
-def _batch_theta_m2(g1, g2, K, L, b1, b2):
-    """Closed-form dual optimum over each support row of K (m = 2)."""
-    G1 = g1[K]
-    G2 = g2[K]
-    U = G1 - G2
-    uu = np.einsum("ij,ij->i", U, U)
-    g2u = np.einsum("ij,ij->i", G2, U)
-    g22 = np.einsum("ij,ij->i", G2, G2)
-    safe = np.where(uu > 0.0, uu, 1.0)
-    t_int = np.clip((L * (b1 - b2) - g2u) / safe, 0.0, 1.0)
-    t_flat = np.where(b1 > b2, 1.0, np.where(b1 < b2, 0.0, 0.5))
-    t = np.where(uu > 0.0, t_int, t_flat)
-    q = (t * t * uu + 2.0 * t * g2u + g22) / (2.0 * L) - (t * b1 + (1.0 - t) * b2)
-    return -q
-
-
-def _batch_theta_m1(g, K, L, b):
-    G = g[K]
-    return b - np.einsum("ij,ij->i", G, G) / (2.0 * L)
-
-
-def _check_cap(count: int, cap: int, what: str):
-    if count > cap:
+    Raises :class:`CapacityError` when there are more than ``MAX_SUPPORTS``.
+    For k = 0 the single empty subset is one row of width zero.
+    """
+    total = math.comb(n, k)
+    if total > MAX_SUPPORTS:
         raise CapacityError(
-            f"enumerating {count} {what} exceeds the cap {cap}; "
-            "reduce n or s (or raise max_supports)"
+            f"enumerating {total} supports exceeds the cap {MAX_SUPPORTS}; reduce n or s"
         )
+    if total <= _CACHE_LIMIT:
+        yield _all_supports(n, k)
+        return
+    combos = itertools.combinations(range(n), k)
+    for start in range(0, total, _CHUNK):
+        yield _index_rows(combos, min(_CHUNK, total - start), k)
+
+
+def _thetas(grads, K, L, B) -> np.ndarray:
+    """Optimal value of the on-support subproblem for each row of ``K``.
+
+    Row i solves ``min_d max_j grads_j[K_i]^T d + B[j, i] + (L/2)||d||^2``
+    through its simplex dual: closed form for m <= 2, one
+    :func:`solve_simplex_qp` per row otherwise.
+    """
+    m = grads.shape[0]
+    if m == 1:
+        G = grads[0][K]
+        return B[0] - np.einsum("ij,ij->i", G, G) / (2.0 * L)
+    if m == 2:
+        b1, b2 = B
+        G1 = grads[0][K]
+        G2 = grads[1][K]
+        U = G1 - G2
+        uu = np.einsum("ij,ij->i", U, U)
+        g2u = np.einsum("ij,ij->i", G2, U)
+        g22 = np.einsum("ij,ij->i", G2, G2)
+        safe = np.where(uu > 0.0, uu, 1.0)
+        t_int = np.clip((L * (b1 - b2) - g2u) / safe, 0.0, 1.0)
+        t_flat = np.where(b1 > b2, 1.0, np.where(b1 < b2, 0.0, 0.5))
+        t = np.where(uu > 0.0, t_int, t_flat)
+        q = (t * t * uu + 2.0 * t * g2u + g22) / (2.0 * L) - (t * b1 + (1.0 - t) * b2)
+        return -q
+    return np.array([solve_simplex_qp(grads[:, row].T, b=b, L=L).theta
+                     for row, b in zip(K, B.T)])
+
+
+def _best_support(grads, n: int, chunks, L, offsets) -> SupportSet:
+    """Lexicographically first row of ``chunks`` minimizing :func:`_thetas`.
+
+    ``offsets(K)`` gives the (m, N) affine offsets for a block ``K``.
+    """
+    best_theta, best_K = np.inf, None
+    for K in chunks:
+        thetas = _thetas(grads, K, L, offsets(K))
+        i = int(np.argmin(thetas))
+        if thetas[i] < best_theta:
+            best_theta, best_K = float(thetas[i]), K[i]
+    return SupportSet(tuple(int(v) for v in best_K), n)
 
 
 def _as_support(J, n: int) -> SupportSet:
@@ -150,7 +163,7 @@ def theta_subspace(p, x, J, I=None) -> DirectionSolution:
     return DirectionSolution(d=d_full, lam=sol.lam, theta=min(sol.theta, 0.0))
 
 
-def theta_feasible(p, x, s, max_supports: int = MAX_SUPPORTS) -> SparseDirectionSolution:
+def theta_feasible(p, x, s) -> SparseDirectionSolution:
     """Pareto-stationarity measure: steepest feasible descent at ``x``.
 
     A direction v is feasible at x exactly when x + t v stays in Omega for
@@ -165,45 +178,20 @@ def theta_feasible(p, x, s, max_supports: int = MAX_SUPPORTS) -> SparseDirection
         raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
     base = support(x)
     k = base.size
-    _check_cap(math.comb(p.n - k, s - k), max_supports, "super support sets")
-
+    free = np.setdiff1d(np.arange(p.n), base)
     grads = np.asarray(p.gradient(x), dtype=float)
-    base_set = set(int(i) for i in base)
-    free = np.array([i for i in range(p.n) if i not in base_set], dtype=np.intp)
 
-    best_J = None
-    if p.m <= 2 and s - k >= 1:
-        best_theta = np.inf
-        for _, extra in _iter_support_chunks(free.size, s - k):
-            K = np.sort(
-                np.concatenate(
-                    [np.broadcast_to(base, (extra.shape[0], k)), free[extra]], axis=1
-                ),
-                axis=1,
-            )
-            zeros = np.zeros(K.shape[0])
-            if p.m == 1:
-                thetas = _batch_theta_m1(grads[0], K, 1.0, zeros)
-            else:
-                thetas = _batch_theta_m2(grads[0], grads[1], K, 1.0, zeros, zeros)
-            i = int(np.argmin(thetas))
-            if thetas[i] < best_theta:
-                best_theta = float(thetas[i])
-                best_J = SupportSet(tuple(int(v) for v in K[i]), p.n)
-    else:
-        best_theta = np.inf
-        for extra in itertools.combinations([int(i) for i in free], s - k):
-            J = SupportSet(tuple(sorted(base_set.union(extra))), p.n)
-            sol = solve_simplex_qp(grads[:, J.as_array()].T, b=None, L=1.0)
-            if sol.theta < best_theta:
-                best_theta = sol.theta
-                best_J = J
+    def with_base(E):
+        rows = np.broadcast_to(base, (E.shape[0], k))
+        return np.sort(np.concatenate([rows, free[E]], axis=1), axis=1)
 
+    chunks = (with_base(E) for E in _support_chunks(free.size, s - k))
+    best_J = _best_support(grads, p.n, chunks, 1.0, lambda K: np.zeros((p.m, K.shape[0])))
     sol = theta_subspace(p, x, best_J)
     return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
 
 
-def theta_L(p, x, s, L, max_supports: int = MAX_SUPPORTS) -> SparseDirectionSolution:
+def theta_L(p, x, s, L) -> SparseDirectionSolution:
     """Proximal stationarity measure with curvature ``L``.
 
     Globally solves ``min max_j grad_j^T d + (L/2)||d||^2`` over directions
@@ -219,69 +207,41 @@ def theta_L(p, x, s, L, max_supports: int = MAX_SUPPORTS) -> SparseDirectionSolu
         raise ValueError(f"curvature L must be positive and finite, got {L}")
     if not is_feasible(x, s):
         raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
-    _check_cap(math.comb(p.n, s), max_supports, "supports")
-
     grads = np.asarray(p.gradient(x), dtype=float)
-    best_K = None
+    X2 = float(x @ x)
+    P = grads @ x  # (m,)
 
-    if p.m <= 2:
-        X2 = float(x @ x)
-        P = grads @ x  # (m,)
-        best_theta = np.inf
-        for _, K in _iter_support_chunks(p.n, s):
-            xK = x[K]
-            x2_in = np.einsum("ij,ij->i", xK, xK)
-            c2 = X2 - x2_in  # ||x_{complement}||^2 per support
-            bs = []
-            for j in range(p.m):
-                gx_in = np.einsum("ij,ij->i", grads[j][K], xK)
-                bs.append(-(P[j] - gx_in) + 0.5 * L * c2)
-            if p.m == 1:
-                thetas = _batch_theta_m1(grads[0], K, L, bs[0])
-            else:
-                thetas = _batch_theta_m2(grads[0], grads[1], K, L, bs[0], bs[1])
-            i = int(np.argmin(thetas))
-            if thetas[i] < best_theta:
-                best_theta = float(thetas[i])
-                best_K = SupportSet(tuple(int(v) for v in K[i]), p.n)
-    else:
-        best_theta = np.inf
-        for K_tuple in itertools.combinations(range(p.n), s):
-            K = SupportSet(K_tuple, p.n)
-            sol = _solve_on_support(grads, x, K, L)
-            if sol.theta < best_theta:
-                best_theta = sol.theta
-                best_K = K
+    def offsets(K):
+        xK = x[K]
+        c2 = X2 - np.einsum("ij,ij->i", xK, xK)  # ||x_{complement}||^2 per support
+        return np.stack([
+            -(P[j] - np.einsum("ij,ij->i", grads[j][K], xK)) + 0.5 * L * c2
+            for j in range(p.m)
+        ])
 
-    sol = _solve_on_support(grads, x, best_K, L)
-    d_full = np.zeros(p.n)
-    d_full[best_K.as_array()] = sol.d
+    best_K = _best_support(grads, p.n, _support_chunks(p.n, s), L, offsets)
+    cols = best_K.as_array()
     comp = list(best_K.complement())
+    d_full = np.zeros(p.n)
     d_full[comp] = -x[comp]
+    b = grads @ d_full + 0.5 * L * float(d_full @ d_full)
+    sol = solve_simplex_qp(grads[:, cols].T, b=b, L=L)
+    d_full[cols] = sol.d
     # d = 0 is feasible, so the true optimum is <= 0 regardless of K.
     theta = min(sol.theta, 0.0)
     assert is_feasible(x + d_full, s)
     return SparseDirectionSolution(d=d_full, support=best_K, theta=theta, lam=sol.lam)
 
 
-def _solve_on_support(grads, x, K: SupportSet, L: float) -> DirectionSolution:
-    cols = K.as_array()
-    comp = list(K.complement())
-    c = np.zeros(x.size)
-    c[comp] = -x[comp]
-    b = grads @ c + 0.5 * L * float(c @ c)
-    return solve_simplex_qp(grads[:, cols].T, b=b, L=L)
-
-
-def is_L_stationary(p, x, s, L, eps: float = 1e-7, max_supports: int = MAX_SUPPORTS) -> bool:
+def is_L_stationary(p, x, s, L, eps: float = 1e-7) -> bool:
     """True iff ``theta_L(p, x, s, L) > -eps``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return theta_L(p, x, s, L, max_supports=max_supports).theta > -eps
+    return theta_L(p, x, s, L).theta > -eps
 
 
-def is_pareto_stationary(p, x, s, eps: float = 1e-7, max_supports: int = MAX_SUPPORTS) -> bool:
+def is_pareto_stationary(p, x, s, eps: float = 1e-7) -> bool:
     """True iff ``theta_feasible(p, x, s) > -eps``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return theta_feasible(p, x, s, max_supports=max_supports).theta > -eps
+    return theta_feasible(p, x, s).theta > -eps

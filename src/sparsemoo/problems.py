@@ -276,6 +276,37 @@ def save_instance(path, inst, s: int) -> None:
         fh.write("\n")
 
 
+def _quadratic_from_doc(path, doc):
+    """``(QuadraticInstance, s)`` from an instance document, checked.
+
+    Each ``Q_j`` must be a finite symmetric ``(n, n)`` matrix and each
+    ``c_j`` a finite ``(n,)`` vector; ``kappa`` is the Lipschitz constant the
+    solvers rely on, so it may not undercut the largest eigenvalue of either
+    ``Q_j`` (beyond a relative 1e-9).  Violations raise :class:`DataError`.
+    """
+    try:
+        n, s, kappa, seed = int(doc["n"]), int(doc["s"]), float(doc["kappa"]), int(doc["seed"])
+        arrays = {name: np.array(doc[name], dtype=float) for name in ("Q1", "Q2", "c1", "c2")}
+    except KeyError as exc:
+        raise DataError(f"{path}: quadratic instance lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed quadratic instance: {exc}") from None
+    for name, arr in arrays.items():
+        shape = (n, n) if name.startswith("Q") else (n,)
+        if arr.shape != shape:
+            raise DataError(f"{path}: {name} has shape {arr.shape}, expected {shape} for n={n}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: {name} has non-finite entries")
+    for name in ("Q1", "Q2"):
+        Q = arrays[name]
+        if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
+            raise DataError(f"{path}: {name} is not symmetric")
+        top = float(np.linalg.eigvalsh(Q).max())
+        if not kappa >= top - 1e-9 * abs(top):
+            raise DataError(f"{path}: kappa={kappa!r} is below the largest eigenvalue {top!r} of {name}")
+    return QuadraticInstance(**arrays, kappa=kappa, seed=seed), s
+
+
 def load_instance(path):
     """Load an instance JSON; returns ``(problem, info dict)``.
 
@@ -284,23 +315,16 @@ def load_instance(path):
     path = Path(path)
     with path.open() as fh:
         doc = json.load(fh)
-    kind = doc.get("type")
+    kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "quadratic":
-        inst = QuadraticInstance(
-            Q1=np.array(doc["Q1"], dtype=float),
-            Q2=np.array(doc["Q2"], dtype=float),
-            c1=np.array(doc["c1"], dtype=float),
-            c2=np.array(doc["c2"], dtype=float),
-            kappa=float(doc["kappa"]),
-            seed=int(doc["seed"]),
-        )
-        if inst.n != int(doc["n"]):
-            raise DataError(f"{path}: n={doc['n']} does not match matrix size {inst.n}")
+        inst, s = _quadratic_from_doc(path, doc)
         return inst.problem(), {
-            "type": "quadratic", "n": inst.n, "s": int(doc["s"]),
+            "type": "quadratic", "n": inst.n, "s": s,
             "kappa": inst.kappa, "seed": inst.seed, "family": "quadratic",
         }
     if kind == "example4":
+        if "s" not in doc:
+            raise DataError(f"{path}: example4 instance lacks 's'")
         p = example_biobjective()
         return p, {"type": "example4", "n": 2, "s": int(doc["s"]), "family": "quadratic"}
     raise DataError(f"{path}: unknown instance type {kind!r}")

@@ -73,7 +73,7 @@ class ParetoArchive:
         self._groups: dict = {}
 
     @classmethod
-    def from_entries(cls, entries, dedupe_tol: float = DEDUPE_TOL) -> "ParetoArchive":
+    def from_entries(cls, entries) -> "ParetoArchive":
         """Build an archive, dropping per-key dominated entries and duplicates."""
         archive = cls()
         grouped: dict = {}
@@ -85,7 +85,7 @@ class ParetoArchive:
             keep = set(filter_nondominated(F).tolist())
             for i, e in enumerate(group):
                 if i in keep:
-                    archive.insert(e, skip_if_dominated=True, dedupe_tol=dedupe_tol)
+                    archive.insert(e, skip_if_dominated=True)
         return archive
 
     def keys(self):
@@ -125,11 +125,10 @@ class ParetoArchive:
             if not self._groups[entry.J]:
                 del self._groups[entry.J]
 
-    def insert(self, entry: ArchiveEntry, skip_if_dominated: bool = False,
-               dedupe_tol: float = DEDUPE_TOL) -> ArchiveEntry:
+    def insert(self, entry: ArchiveEntry, skip_if_dominated: bool = False) -> ArchiveEntry:
         """Evict key mates strictly dominated by ``entry``, then add it.
 
-        A point coinciding with an existing mate within ``dedupe_tol``
+        A point coinciding with an existing mate within ``DEDUPE_TOL``
         (infinity norm) is not re-added; the existing entry is returned as
         the canonical one.  With ``skip_if_dominated`` the entry is dropped
         when a mate dominates it (used outside the literal sweep rule).
@@ -137,7 +136,7 @@ class ParetoArchive:
         group = self._groups.get(entry.J, [])
         if group:
             X = np.array([m.x for m in group])
-            dup = np.flatnonzero(np.max(np.abs(X - entry.x), axis=1) <= dedupe_tol)
+            dup = np.flatnonzero(np.max(np.abs(X - entry.x), axis=1) <= DEDUPE_TOL)
             if dup.size:
                 return group[int(dup[0])]
             F = np.array([m.fvals for m in group])
@@ -156,13 +155,13 @@ class ParetoArchive:
         ), "inserted a dominated point"
         return entry
 
-    def check_invariants(self, dedupe_tol: float = DEDUPE_TOL):
+    def check_invariants(self):
         """Audit per-key mutual nondomination and duplicate-freeness."""
         for J, group in self._groups.items():
             for a, b_ in itertools.combinations(group, 2):
                 assert not dominates(a.fvals, b_.fvals), f"dominated pair in {J}"
                 assert not dominates(b_.fvals, a.fvals), f"dominated pair in {J}"
-                assert np.max(np.abs(a.x - b_.x)) > dedupe_tol, f"duplicate in {J}"
+                assert np.max(np.abs(a.x - b_.x)) > DEDUPE_TOL, f"duplicate in {J}"
 
 
 def filter_nondominated(points) -> np.ndarray:

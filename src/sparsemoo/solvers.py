@@ -104,8 +104,7 @@ class SolverTrace:
     status: str  # 'converged' | 'budget_exhausted'
 
 
-def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
-          max_supports: int | None = None):
+def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     """Multi-objective iterative hard thresholding.
 
     Repeats ``x <- x + d`` with ``d`` a global optimum of the proximal
@@ -127,12 +126,11 @@ def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
             f"{float(np.max(p.lipschitz))}; convergence guarantees are void",
             stacklevel=2,
         )
-    kw = {} if max_supports is None else {"max_supports": max_supports}
     x = x0.copy()
     trace = SolverTrace(iterates=[], status="budget_exhausted")
     fx = np.asarray(p.evaluate(x), dtype=float)
     for k in range(cfg.max_iter + 1):
-        sol = theta_L(p, x, s, cfg.L, **kw)
+        sol = theta_L(p, x, s, cfg.L)
         trace.iterates.append((x.copy(), fx.copy(), sol.theta))
         if sol.theta > -cfg.eps:
             trace.status = "converged"

@@ -151,6 +151,21 @@ class TestFront:
         assert out.exists()
 
 
+class TestFrontCsvValidation:
+    @pytest.mark.parametrize("text, where", [
+        ("f1,f2,support,x_1,x_2\n1.0,2.0,1,0.5,0.0\n1.0,2.0,1,0.5\n", ":3:"),
+        ("a,b,support,x_1,x_2\n1.0,2.0,1,0.5,0.0\n", ":1:"),
+        ("f1,f2,x_1,x_2\n1.0,2.0,0.5,0.0\n", ":1:"),
+        ("", ":1:"),
+        ("f1,f2,support,x_1,x_2\n1.0,oops,1,0.5,0.0\n", ":2:"),
+    ])
+    def test_bad_front_csv_exits_1(self, tmp_path, capsys, text, where):
+        path = tmp_path / "front.csv"
+        path.write_text(text)
+        assert run("metrics", "--front", f"A={path}", "--out", tmp_path / "m.csv") == 1
+        assert f"{path}{where}" in capsys.readouterr().err
+
+
 class TestMetricsAndProfiles:
     def _write_front(self, path, rows):
         with open(path, "w") as fh:
@@ -321,6 +336,17 @@ class TestReproduce:
         ({"instances": [{"type": "example4", "s": 1}], "strategies": "moiht"}, "strategies"),
         ({"instances": [{"type": "example4", "s": 1}], "run_seeds": [0, "1"]}, "run_seeds"),
         ({"instances": [{"type": "example4", "s": 1}], "run_seeds": [0.5]}, "run_seeds"),
+        ({"instances": [{"n": 6, "kappa": "10", "s": 3}]}, "kappa"),
+        ({"instances": [{"n": 6, "kappa": 0.5, "s": 3}]}, "kappa"),
+        ({"instances": [{"n": 6.0, "kappa": 10, "s": 3}]}, "instances[0].n"),
+        ({"instances": [{"n": 6, "kappa": 10, "s": 9}]}, "instances[0].s"),
+        ({"instances": [{"n": 6, "kappa": 10, "s": 0}]}, "instances[0].s"),
+        ({"instances": [{"type": "example4", "s": 2}]}, "instances[0].s"),
+        ({"instances": [{"n": 6, "kappa": 10, "s": 3, "seed": -1}]}, "seed"),
+        ({"instances": [{"type": "example4", "s": 1}], "seed": "0"}, "seed"),
+        ({"instances": [{"type": "example4", "s": 1}], "n_starts": "x"}, "n_starts"),
+        ({"instances": [{"type": "example4", "s": 1}], "sfsd_budget": 0}, "sfsd_budget"),
+        ({"instances": [{"type": "example4", "s": 1}], "solver_budget": True}, "solver_budget"),
     ])
     def test_invalid_manifest_rejected(self, tmp_path, capsys, manifest, field):
         out_dir = tmp_path / "out"

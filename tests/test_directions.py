@@ -185,8 +185,6 @@ class TestThetaL:
         p = zero_gradient_problem(n=30, m=2)
         with pytest.raises(CapacityError):
             theta_L(p, np.zeros(30), 15, 1.0)
-        with pytest.raises(CapacityError):
-            theta_L(p, np.zeros(30), 15, 1.0, max_supports=100)
 
     def test_invalid_inputs(self, example_problem):
         with pytest.raises(ValueError):
@@ -216,11 +214,11 @@ def _simplex_grid_theta(grads, x, K, L, step):
 
 
 class TestThreeObjectives:
-    def make_problem(self, n=5, seed=0):
+    def make_problem(self, n=5, seed=0, m=3):
         rng = np.random.default_rng(seed)
-        A = [rng.normal(size=(n, n)) for _ in range(3)]
+        A = [rng.normal(size=(n, n)) for _ in range(m)]
         Qs = [a @ a.T + np.eye(n) for a in A]
-        cs = [rng.normal(size=n) for _ in range(3)]
+        cs = [rng.normal(size=n) for _ in range(m)]
         lip = np.array([np.linalg.eigvalsh(Q).max() for Q in Qs])
 
         def ev(x):
@@ -229,7 +227,7 @@ class TestThreeObjectives:
         def grad(x):
             return np.stack([Q @ x - c for Q, c in zip(Qs, cs)])
 
-        return MultiObjectiveProblem(n=n, m=3, evaluate=ev, gradient=grad,
+        return MultiObjectiveProblem(n=n, m=m, evaluate=ev, gradient=grad,
                                      lipschitz=lip)
 
     def test_theta_l_loop_path_matches_grid(self):
@@ -255,6 +253,46 @@ class TestThreeObjectives:
         # minimum over supports never exceeds any single subspace value
         for J in super_supports(x, 2):
             assert sol.theta <= theta_subspace(p, x, J).theta + 1e-12
+
+
+class TestStreamedEnumeration:
+    """Enumerations past the cache limit stream in chunks; the choice of
+    support (the lexicographically first minimizer) must not change."""
+
+    def cases(self):
+        for m in (1, 2, 3):
+            yield TestThreeObjectives().make_problem(n=6, seed=m, m=m), 3
+        # every singleton support ties; the first must win across chunks
+        yield MultiObjectiveProblem(
+            n=7, m=1,
+            evaluate=lambda x: np.array([float(np.sum(x))]),
+            gradient=lambda x: np.ones((1, 7)),
+            lipschitz=np.array([1.0]),
+        ), 1
+
+    def results(self, p, s):
+        rng = np.random.default_rng(p.n * 10 + p.m)
+        L = 1.1 * float(p.lipschitz.max()) + 1.0
+        points = [np.zeros(p.n), project_sparse(rng.normal(size=p.n), s),
+                  project_sparse(rng.normal(size=p.n), s - 1 or 1)]
+        out = []
+        for x in points:  # the second point has full support (k = s)
+            for sol in (theta_L(p, x, s, L), theta_feasible(p, x, s)):
+                out.append((sol.support.indices, sol.theta, sol.d.tobytes()))
+        return out
+
+    def test_streamed_matches_cached(self, monkeypatch):
+        import sparsemoo.directions as directions
+
+        cached = [self.results(p, s) for p, s in self.cases()]
+        monkeypatch.setattr(directions, "_CACHE_LIMIT", 0)
+        monkeypatch.setattr(directions, "_CHUNK", 3)
+        streamed = [self.results(p, s) for p, s in self.cases()]
+        assert streamed == cached
+        assert cached[-1][0][0] == (0,)  # tie instance, theta_L at the origin
+        chunks = list(directions._support_chunks(7, 2))
+        assert [c.shape for c in chunks] == [(3, 2)] * 7
+        assert [c.shape for c in directions._support_chunks(5, 0)] == [(1, 0)]
 
 
 class TestStationarityTests:

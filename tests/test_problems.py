@@ -230,3 +230,31 @@ class TestInstanceRoundTrip:
         path.write_text('{"type": "cubic", "s": 1}')
         with pytest.raises(DataError):
             load_instance(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(Q1=doc["Q1"][:3]), "Q1 has shape"),
+        (lambda doc: doc.update(c2=doc["c2"] + [0.0]), "c2 has shape"),
+        (lambda doc: doc["Q2"][1].__setitem__(2, float("nan")), "non-finite"),
+        (lambda doc: doc["Q1"][0].__setitem__(1, doc["Q1"][0][1] + 0.5), "not symmetric"),
+        (lambda doc: doc.update(kappa=5.0), "below the largest eigenvalue"),
+        (lambda doc: doc.pop("c1"), "lacks 'c1'"),
+    ])
+    def test_invalid_quadratic_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "q.json"
+        save_instance(path, generate_quadratic(4, 10.0, 2), 2)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
+            load_instance(path)
+
+    def test_generated_instances_load_unchanged(self, tmp_path):
+        # the eigenvalue check must not reject kappa at its own spectrum edge
+        for n, kappa, seed in ((2, 1.0, 0), (10, 10.0, 1), (25, 100.0, 2), (50, 1000.0, 3)):
+            inst = generate_quadratic(n, kappa, seed)
+            path = tmp_path / f"q{n}.json"
+            save_instance(path, inst, 1)
+            problem, info = load_instance(path)
+            assert info["kappa"] == kappa and info["seed"] == seed
+            x = np.random.default_rng(seed).normal(size=n)
+            assert problem.evaluate(x).tobytes() == inst.problem().evaluate(x).tobytes()
