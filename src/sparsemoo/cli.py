@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CapacityError, SupportSet, support
+from .core import CapacityError, SupportSet, filter_nondominated, support
 from .metrics import (
     build_reference_front,
     delta_spread,
@@ -38,7 +38,7 @@ from .problems import (
     logistic_problem,
     save_instance,
 )
-from .sfsd import STRATEGIES, filter_nondominated, initialize, sfsd_run, solve_starts
+from .sfsd import STRATEGIES, initialize, sfsd_run, solve_starts
 from .solvers import default_config, mosd
 
 EXIT_OK = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,9 +18,12 @@ import numpy as np
 # The threshold is an implementation choice for floating point robustness.
 ZERO_TOL = 1e-12
 
+# Cap on enumerated supports or super support sets; beyond it CapacityError.
+MAX_SUPPORTS = 2_000_000
+
 
 class CapacityError(RuntimeError):
-    """A support enumeration would exceed the configured cap."""
+    """A support enumeration would exceed ``MAX_SUPPORTS``."""
 
 
 def support(x: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
@@ -79,11 +82,6 @@ class SupportSet:
         inside = set(self.indices)
         return tuple(i for i in range(self.n) if i not in inside)
 
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.n, dtype=bool)
-        m[list(self.indices)] = True
-        return m
-
     def contains_support_of(self, x: np.ndarray, tol: float = ZERO_TOL) -> bool:
         return set(support(x, tol)) <= set(self.indices)
 
@@ -131,13 +129,33 @@ class MultiObjectiveProblem:
             raise ValueError("Lipschitz constants must be positive")
 
 
-def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
-    """True iff ``u <= v`` componentwise and ``u != v`` (strict partial order)."""
+def dominates(u, v):
+    """True iff ``u <= v`` componentwise and ``u != v`` (strict partial order).
+
+    The order is applied along the last axis and broadcast over the leading
+    ones: for a ``(k, m)`` array ``F`` and a vector ``f``, ``dominates(F, f)``
+    is the row mask ``[dominates(r, f) for r in F]`` and ``dominates(f, F)``
+    marks the rows that ``f`` dominates.  Two vectors give a ``bool``.
+    Raises ``ValueError`` when the last axes differ in length.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
+    if u.shape[-1:] != v.shape[-1:]:
         raise ValueError(f"objective vectors differ in length: {u.shape} vs {v.shape}")
-    return bool(np.all(u <= v) and np.any(u < v))
+    out = np.all(u <= v, axis=-1) & np.any(u < v, axis=-1)
+    return bool(out) if out.ndim == 0 else out
+
+
+def filter_nondominated(points) -> np.ndarray:
+    """Indices of objective vectors not dominated by any other vector.
+
+    Exact duplicates are all retained (they do not dominate each other).
+    """
+    F = np.asarray(points, dtype=float)
+    if F.size == 0:
+        return np.array([], dtype=int)
+    F = np.atleast_2d(F)
+    return np.flatnonzero([not dominates(F, f).any() for f in F])
 
 
 def project_sparse(x: np.ndarray, s: int) -> np.ndarray:
@@ -157,11 +175,12 @@ def project_sparse(x: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def super_supports(x: np.ndarray, s: int, max_sets: int | None = None) -> list:
+def super_supports(x: np.ndarray, s: int) -> list:
     """All super support sets at ``x``: index sets ``J`` with supp(x) ⊆ J, |J| = s.
 
     Returned in lexicographic order; there are ``C(n - ||x||_0, s - ||x||_0)``
-    of them, and exactly one when ``||x||_0 == s``.
+    of them, and exactly one when ``||x||_0 == s``.  Raises
+    :class:`CapacityError` when there are more than ``MAX_SUPPORTS``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -171,9 +190,9 @@ def super_supports(x: np.ndarray, s: int, max_sets: int | None = None) -> list:
     if k > s:
         raise ValueError(f"point has {k} nonzeros, exceeding the budget s={s}")
     count = math.comb(n - k, s - k)
-    if max_sets is not None and count > max_sets:
+    if count > MAX_SUPPORTS:
         raise CapacityError(
-            f"{count} super support sets exceed the cap {max_sets}; reduce n or s"
+            f"{count} super support sets exceed the cap {MAX_SUPPORTS}; reduce n or s"
         )
     base_set = set(int(i) for i in base)
     free = [i for i in range(n) if i not in base_set]

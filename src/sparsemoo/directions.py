@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_SUPPORTS,
     CapacityError,
     SupportSet,
     check_budget,
@@ -30,8 +31,6 @@ from .core import (
 )
 from .simplex_qp import DirectionSolution, solve_simplex_qp
 
-# Cap on enumerated supports; C(n, k) beyond this raises CapacityError.
-MAX_SUPPORTS = 2_000_000
 # Enumerations up to _CACHE_LIMIT rows are built once and cached; larger ones
 # stream in blocks of _CHUNK rows.
 _CHUNK = 131_072
@@ -152,11 +151,14 @@ def theta_subspace(p, x, J, I=None) -> DirectionSolution:
         raise ValueError("objective subset I must be nonempty")
     if any(not 0 <= j < p.m for j in I):
         raise ValueError(f"objective indices out of range [0, {p.m})")
-    grads = np.asarray(p.gradient(x), dtype=float)
-    cols = J.as_array()
+    return _subspace_direction(np.asarray(p.gradient(x), dtype=float), I, J.as_array())
+
+
+def _subspace_direction(grads, I, cols) -> DirectionSolution:
+    """``theta_subspace`` on already evaluated gradients (objectives ``I``, columns ``cols``)."""
     G = grads[np.ix_(I, cols)].T  # (|J|, |I|)
     sol = solve_simplex_qp(G, b=None, L=1.0)
-    d_full = np.zeros(p.n)
+    d_full = np.zeros(grads.shape[1])
     d_full[cols] = sol.d
     # d = 0 is feasible with zero offsets, so the true value is <= 0; any
     # positive residue is floating point noise.
@@ -187,7 +189,7 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
 
     chunks = (with_base(E) for E in _support_chunks(free.size, s - k))
     best_J = _best_support(grads, p.n, chunks, 1.0, lambda K: np.zeros((p.m, K.shape[0])))
-    sol = theta_subspace(p, x, best_J)
+    sol = _subspace_direction(grads, range(p.m), best_J.as_array())
     return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sfsd import filter_nondominated
+from .core import filter_nondominated
 
 PURITY_TOL = 1e-9
 

@@ -19,6 +19,7 @@ from .core import (
     SupportSet,
     check_budget,
     dominates,
+    filter_nondominated,
     is_feasible,
     l0_norm,
     project_sparse,
@@ -131,7 +132,9 @@ class ParetoArchive:
         A point coinciding with an existing mate within ``DEDUPE_TOL``
         (infinity norm) is not re-added; the existing entry is returned as
         the canonical one.  With ``skip_if_dominated`` the entry is dropped
-        when a mate dominates it (used outside the literal sweep rule).
+        when a mate dominates it (used outside the literal sweep rule);
+        without it a dominated entry breaks the sweep rule and fails an
+        ``assert`` (under ``python -O`` it is dropped).
         """
         group = self._groups.get(entry.J, [])
         if group:
@@ -140,48 +143,26 @@ class ParetoArchive:
             if dup.size:
                 return group[int(dup[0])]
             F = np.array([m.fvals for m in group])
-            if skip_if_dominated and bool(
-                np.any(np.all(F <= entry.fvals, axis=1) & np.any(F < entry.fvals, axis=1))
-            ):
+            if dominates(F, entry.fvals).any():
+                assert skip_if_dominated, "inserted a dominated point"
                 return entry
-            evicted = np.all(entry.fvals <= F, axis=1) & np.any(entry.fvals < F, axis=1)
-            kept = [m for m, gone in zip(group, evicted) if not gone]
+            kept = [m for m, gone in zip(group, dominates(entry.fvals, F)) if not gone]
         else:
             kept = []
         kept.append(entry)
         self._groups[entry.J] = kept
-        assert not any(
-            dominates(m.fvals, entry.fvals) for m in kept if m is not entry
-        ), "inserted a dominated point"
         return entry
 
     def check_invariants(self):
         """Audit per-key mutual nondomination and duplicate-freeness."""
         for J, group in self._groups.items():
-            for a, b_ in itertools.combinations(group, 2):
-                assert not dominates(a.fvals, b_.fvals), f"dominated pair in {J}"
-                assert not dominates(b_.fvals, a.fvals), f"dominated pair in {J}"
-                assert np.max(np.abs(a.x - b_.x)) > DEDUPE_TOL, f"duplicate in {J}"
-
-
-def filter_nondominated(points) -> np.ndarray:
-    """Indices of objective vectors not dominated by any other vector.
-
-    Exact duplicates are all retained (they do not dominate each other).
-    """
-    F = np.asarray(points, dtype=float)
-    if F.size == 0:
-        return np.array([], dtype=int)
-    F = np.atleast_2d(F)
-    n = F.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        le = np.all(F <= F[i], axis=1)
-        lt = np.any(F < F[i], axis=1)
-        le[i] = False
-        if np.any(le & lt):
-            keep[i] = False
-    return np.flatnonzero(keep)
+            F = np.array([e.fvals for e in group])
+            X = np.array([e.x for e in group])
+            for e in group:
+                assert not dominates(F, e.fvals).any(), f"dominated pair in {J}"
+                # every mate lies farther than DEDUPE_TOL; e itself is at 0
+                far = np.max(np.abs(X - e.x), axis=1) > DEDUPE_TOL
+                assert np.count_nonzero(far) == len(group) - 1, f"duplicate in {J}"
 
 
 def crowding_distance(fvals) -> np.ndarray:

@@ -4,6 +4,15 @@ import pytest
 from sparsemoo import MultiObjectiveProblem, example_biobjective, generate_quadratic
 
 
+def pytest_configure(config):
+    # python -O strips the library asserts these tests rely on: the archive
+    # guard, the descent lemma and the duality sandwich.
+    if not __debug__:
+        raise pytest.UsageError(
+            "the sparsemoo tests need assertions: run them without python -O"
+        )
+
+
 @pytest.fixture
 def example_problem():
     return example_biobjective()

@@ -68,6 +68,16 @@ def enum_theta_feasible(p, x, s, step=1e-4):
     return min(best, 0.0)
 
 
+def nondominated_indices(points):
+    """Indices of the rows no other row dominates, by pairwise comparison."""
+    rows = [tuple(float(v) for v in r) for r in points]
+
+    def dominates(a, b):
+        return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+    return [i for i, b in enumerate(rows) if not any(dominates(a, b) for a in rows)]
+
+
 def fd_gradient(p, x, rel_step=1e-6):
     """Central finite differences with per-coordinate step 1e-6 * (1 + |x_i|)."""
     x = np.asarray(x, dtype=float)

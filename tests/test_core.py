@@ -10,9 +10,21 @@ from sparsemoo import (
     MultiObjectiveProblem,
     SupportSet,
     dominates,
+    filter_nondominated,
     l0_norm,
     project_sparse,
     super_supports,
+)
+
+from oracles import nondominated_indices
+
+# Small integer fronts: few values per objective, so ties, duplicates and
+# dominated rows are all common.
+fronts = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), max_size=8),
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+    ).map(lambda Ff: (np.array(Ff[0], dtype=float).reshape(-1, m), Ff[1]))
 )
 
 
@@ -29,6 +41,8 @@ class TestDominates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             dominates((1, 2), (1, 2, 3))
+        with pytest.raises(ValueError):
+            dominates(np.zeros((3, 2)), (1, 2, 3))
 
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4))
     def test_irreflexive(self, u):
@@ -44,6 +58,21 @@ class TestDominates:
         u, v, w = triple
         if dominates(u, v) and dominates(v, w):
             assert dominates(u, w)
+
+    @settings(max_examples=200)
+    @given(fronts)
+    def test_rowwise_matches_pairwise(self, front):
+        F, f = front
+        assert dominates(F, f).tolist() == [dominates(r, f) for r in F]
+        assert dominates(f, F).tolist() == [dominates(f, r) for r in F]
+
+
+class TestFilterNondominated:
+    @settings(max_examples=200)
+    @given(fronts)
+    def test_matches_bruteforce(self, front):
+        F, _ = front
+        assert filter_nondominated(F).tolist() == nondominated_indices(F)
 
 
 class TestProjectSparse:
@@ -122,7 +151,7 @@ class TestSuperSupports:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            super_supports(np.zeros(30), 15, max_sets=1000)
+            super_supports(np.zeros(30), 15)
 
 
 class TestSupportSet:

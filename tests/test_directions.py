@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,25 @@ class TestThetaFeasible:
     def test_infeasible_rejected(self, example_problem):
         with pytest.raises(ValueError):
             theta_feasible(example_problem, np.array([1.0, 1.0]), 1)
+
+    def test_one_gradient_per_call(self, quadratic_factory):
+        p = quadratic_factory(n=8, kappa=10.0, seed=3)
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return p.gradient(x)
+
+        counted = dataclasses.replace(p, gradient=gradient)
+        x = project_sparse(np.arange(1.0, 9.0), 2)
+        for s in (2, 3, 5):
+            calls.clear()
+            sol = theta_feasible(counted, x, s)
+            assert len(calls) == 1
+            # the final solve reuses the gradients bit for bit
+            ref = theta_subspace(p, x, sol.support)
+            assert sol.theta == ref.theta
+            assert sol.d.tobytes() == ref.d.tobytes()
 
 
 class TestThetaL:

@@ -144,6 +144,31 @@ class TestArchive:
         arch.insert(entry(p, [2.5, 0.0], SupportSet((0,), 2)))
         assert arch.state() != s0
 
+    def test_dominated_insert_fails_sweep_rule(self, example_problem):
+        p = example_problem
+        J = SupportSet((0,), 2)
+        arch = ParetoArchive()
+        better = arch.insert(entry(p, [1.0, 0.0], J))
+        worse = entry(p, [0.5, 0.0], J)  # dominated by its key mate
+        with pytest.raises(AssertionError, match="inserted a dominated point"):
+            arch.insert(worse)
+        assert arch.group(J) == [better]
+        assert arch.insert(worse, skip_if_dominated=True) is worse
+        assert arch.group(J) == [better]
+
+    def test_audit_flags_dominated_pair_and_duplicate(self, example_problem):
+        p = example_problem
+        J = SupportSet((0,), 2)
+        arch = ParetoArchive()
+        arch._groups[J] = [entry(p, [1.5, 0.0], J), entry(p, [2.5, 0.0], J)]
+        arch.check_invariants()  # a nondominated, duplicate-free group passes
+        arch._groups[J] = [entry(p, [1.5, 0.0], J), entry(p, [0.5, 0.0], J)]
+        with pytest.raises(AssertionError, match="dominated pair"):
+            arch.check_invariants()
+        arch._groups[J] = [entry(p, [1.5, 0.0], J), entry(p, [1.5, 0.0], J)]
+        with pytest.raises(AssertionError, match="duplicate"):
+            arch.check_invariants()
+
 
 class TestInitialize:
     def test_deterministic_given_seed(self, example_problem):
