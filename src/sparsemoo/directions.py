@@ -9,6 +9,12 @@ convex min-max direction subproblems:
   at ``x``; zero value is the Pareto-stationarity test.
 * ``theta_L`` — proximal subproblem with curvature ``L`` over directions
   that keep ``x + d`` feasible; zero value is the L-stationarity test.
+
+The last two minimize an on-support value over size-s supports.  One kernel
+(:func:`_best_support`) finds the lexicographically first minimizer: past
+``_SCREEN_MIN`` candidates a Lagrangian bound (:func:`_screen`) first fixes
+coordinates in or out of every minimizer, and only the supports that respect
+those fixings are scored, in the same order and by the same arithmetic.
 """
 
 from __future__ import annotations
@@ -32,9 +38,12 @@ from .core import (
 from .simplex_qp import DirectionSolution, solve_simplex_qp
 
 # Enumerations up to _CACHE_LIMIT rows are built once and cached; larger ones
-# stream in blocks of _CHUNK rows.
+# stream in blocks of _CHUNK rows.  Searches over more than _SCREEN_MIN
+# supports are screened first; below it the bound costs more than scoring
+# every support.
 _CHUNK = 131_072
 _CACHE_LIMIT = 100_000
+_SCREEN_MIN = 2_000
 
 
 @dataclass(frozen=True)
@@ -68,14 +77,9 @@ def _all_supports(n: int, k: int) -> np.ndarray:
 def _support_chunks(n: int, k: int):
     """Every size-k subset of range(n), lexicographic, as (N, k) row blocks.
 
-    Raises :class:`CapacityError` when there are more than ``MAX_SUPPORTS``.
     For k = 0 the single empty subset is one row of width zero.
     """
     total = math.comb(n, k)
-    if total > MAX_SUPPORTS:
-        raise CapacityError(
-            f"enumerating {total} supports exceeds the cap {MAX_SUPPORTS}; reduce n or s"
-        )
     if total <= _CACHE_LIMIT:
         yield _all_supports(n, k)
         return
@@ -113,13 +117,102 @@ def _thetas(grads, K, L, B) -> np.ndarray:
                      for row, b in zip(K, B.T)])
 
 
-def _best_support(grads, n: int, chunks, L, offsets) -> SupportSet:
-    """Lexicographically first row of ``chunks`` minimizing :func:`_thetas`.
+@functools.lru_cache(maxsize=8)
+def _lambda_grid(m: int) -> np.ndarray:
+    """Simplex lattice of dual weights, one row each.
 
-    ``offsets(K)`` gives the (m, N) affine offsets for a block ``K``.
+    ``[[1]]`` for m = 1, 33 weights for m = 2 and ``C(m + 3, 4)`` for
+    m >= 3, where the screen pays one simplex-QP solve per distinct top-s
+    set of a weight.
     """
+    D = 32 if m <= 2 else 4
+    # stars and bars: m - 1 bar positions among D + m - 1 slots
+    rows = [np.diff((-1, *bars, D + m - 1)) - 1
+            for bars in itertools.combinations(range(D + m - 1), m - 1)]
+    grid = np.array(rows, dtype=float) / D
+    grid.setflags(write=False)
+    return grid
+
+
+def _with_fixed(fixed, rows) -> np.ndarray:
+    """The sorted supports ``fixed ∪ rows[i]`` for a block of sorted rows.
+
+    Adding the same coordinates to every row keeps the lexicographic order
+    of the block.
+    """
+    if not fixed.size:
+        return rows
+    return np.sort(np.concatenate(
+        [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1)
+
+
+def _screen(grads, x, L, fixed, free, k, offsets):
+    """Shrink the search for size-k subsets E of ``free`` (rows ``fixed ∪ E``).
+
+    For dual weights lam and ``g = lam @ grads``, every support K has
+    ``theta(K) >= S - sum_{i in K} r_i`` with ``w = -g x + (L/2) x^2``,
+    ``r = (L/2)(x - g/L)^2`` and ``S = sum w`` (the subproblem separates by
+    coordinate once lam is fixed).  Maximized over the lattice of
+    :func:`_lambda_grid`, this bounds from below every support that contains
+    coordinate i (``S - r_i - top_{k-1}(r without i)``) and every one that
+    leaves it out (``S - top_k(r without i)``).  The incumbent U is the best
+    :func:`_thetas` value over the top-k sets of the lattice.  A coordinate
+    whose "in" bound exceeds U plus a rounding margin is in no minimizer and
+    is dropped; one whose "out" bound does is in every minimizer and joins
+    ``fixed``.  Returns the new ``(fixed, free, k)``.
+    """
+    G = _lambda_grid(grads.shape[0]) @ grads  # (P, n)
+    R = 0.5 * L * (x - G / L) ** 2
+    S = (0.5 * L * float(x @ x) - G @ x - R[:, fixed].sum(axis=1))[:, None]
+    Rf = R[:, free]
+    # T[:, j] is the sum of the j largest r over free; a coordinate whose r
+    # reaches the k-th largest is counted among the top k (ties give equal sums)
+    Rs = -np.sort(-Rf, axis=1)
+    T = np.zeros((Rf.shape[0], free.size + 1))
+    np.cumsum(Rs, axis=1, out=T[:, 1:])
+    top_k = Rf >= Rs[:, [k - 1]]
+    lb_in = np.where(top_k, S - T[:, [k]], S - Rf - T[:, [k - 1]]).max(axis=0)
+    lb_out = np.where(top_k, S - T[:, [k + 1]] + Rf, S - T[:, [k]]).max(axis=0)
+
+    E = np.argpartition(-Rf, k - 1, axis=1)[:, :k]
+    top = _with_fixed(fixed, np.sort(free[E], axis=1))
+    top = np.array(sorted(set(map(tuple, top.tolist()))), dtype=np.intp)
+    U = float(np.min(_thetas(grads, top, L, offsets(top))))
+    A = np.abs(grads).max(axis=0)
+    # relative rounding margin, on the magnitudes that enter bound and values
+    tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(U))
+    keep_in = lb_out > U + tol
+    keep_free = ~keep_in & ~(lb_in > U + tol)
+    fixed = np.sort(np.concatenate([fixed, free[keep_in]]))
+    return fixed, free[keep_free], k - int(keep_in.sum())
+
+
+def _best_support(grads, x, L, s, fixed, offsets) -> SupportSet:
+    """Lexicographically first size-s superset of ``fixed`` minimizing :func:`_thetas`.
+
+    ``offsets(K)`` gives the (m, N) affine offsets for a block ``K`` of
+    sorted rows.  Raises :class:`CapacityError` when there are more than
+    ``MAX_SUPPORTS`` candidates, before any screening.  Above
+    ``_SCREEN_MIN`` candidates :func:`_screen` first narrows them; the rows
+    it keeps are still scored in lexicographic order, so the returned support
+    is the one a full enumeration returns.
+    """
+    n = x.size
+    is_free = np.ones(n, dtype=bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    k = s - fixed.size
+    total = math.comb(free.size, k)
+    if total > MAX_SUPPORTS:
+        raise CapacityError(
+            f"enumerating {total} supports exceeds the cap {MAX_SUPPORTS}; reduce n or s"
+        )
+    # a single candidate (k = 0, or all of free) needs no screen
+    if total > max(_SCREEN_MIN, 1):
+        fixed, free, k = _screen(grads, x, L, fixed, free, k, offsets)
     best_theta, best_K = np.inf, None
-    for K in chunks:
+    for E in _support_chunks(free.size, k):
+        K = _with_fixed(fixed, free[E])
         thetas = _thetas(grads, K, L, offsets(K))
         i = int(np.argmin(thetas))
         if thetas[i] < best_theta:
@@ -178,17 +271,10 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
     s = check_budget(s, p.n)
     if not is_feasible(x, s):
         raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
-    base = support(x)
-    k = base.size
-    free = np.setdiff1d(np.arange(p.n), base)
     grads = np.asarray(p.gradient(x), dtype=float)
-
-    def with_base(E):
-        rows = np.broadcast_to(base, (E.shape[0], k))
-        return np.sort(np.concatenate([rows, free[E]], axis=1), axis=1)
-
-    chunks = (with_base(E) for E in _support_chunks(free.size, s - k))
-    best_J = _best_support(grads, p.n, chunks, 1.0, lambda K: np.zeros((p.m, K.shape[0])))
+    # theta_L's search at the origin (no offsets), L = 1, support of x forced in
+    best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x),
+                           lambda K: np.zeros((p.m, K.shape[0])))
     sol = _subspace_direction(grads, range(p.m), best_J.as_array())
     return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
 
@@ -197,11 +283,14 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     """Proximal stationarity measure with curvature ``L``.
 
     Globally solves ``min max_j grad_j^T d + (L/2)||d||^2`` over directions
-    with ``x + d`` feasible, by enumerating every size-s support K of the
+    with ``x + d`` feasible, by minimizing over the size-s supports K of the
     landing point: off K the move is pinned to ``d = -x``, contributing the
     affine offsets ``b_j = grad_j^T c + (L/2)||c||^2``; on K the remaining
     strongly convex min-max is solved exactly.  The minimum over K is the
-    global optimum; the lexicographically first minimizer is returned.
+    global optimum; the lexicographically first minimizer is returned.  Up
+    to ``_SCREEN_MIN`` supports every one is scored; beyond that a
+    Lagrangian bound rules coordinates in or out first and only the supports
+    that can still attain the minimum are scored.
     """
     x = np.asarray(x, dtype=float)
     s = check_budget(s, p.n)
@@ -221,7 +310,7 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
             for j in range(p.m)
         ])
 
-    best_K = _best_support(grads, p.n, _support_chunks(p.n, s), L, offsets)
+    best_K = _best_support(grads, x, L, s, np.array([], dtype=np.intp), offsets)
     cols = best_K.as_array()
     comp = list(best_K.complement())
     d_full = np.zeros(p.n)

@@ -316,6 +316,90 @@ class TestStreamedEnumeration:
         assert [c.shape for c in directions._support_chunks(5, 0)] == [(1, 0)]
 
 
+def conditioned_problem(n, m, kappa, seed):
+    """m quadratics ``0.5 x^T Q_j x - c_j^T x`` with eigenvalues on [1, kappa]."""
+    rng = np.random.default_rng(seed)
+    Qs, cs = [], []
+    for _ in range(m):
+        R, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        Qs.append((R * np.geomspace(1.0, kappa, n)) @ R.T)
+        cs.append(rng.uniform(-1.0, 1.0, size=n))
+    return MultiObjectiveProblem(
+        n=n, m=m,
+        evaluate=lambda x: np.array([0.5 * x @ (Q @ x) - c @ x for Q, c in zip(Qs, cs)]),
+        gradient=lambda x: np.stack([Q @ x - c for Q, c in zip(Qs, cs)]),
+        lipschitz=np.full(m, float(kappa)),
+    )
+
+
+class TestScreenedSearch:
+    """Past ``_SCREEN_MIN`` candidates a Lagrangian bound fixes coordinates
+    before any support is scored; support, theta, d and lambda must be the
+    ones that scoring every support gives."""
+
+    def cases(self):
+        for m, n, s in ((1, 12, 5), (2, 12, 5), (3, 8, 4), (4, 7, 3)):
+            for kappa in (1.0, 10.0, 1000.0):
+                yield conditioned_problem(n, m, kappa, seed=m), s
+        # every support ties: the lexicographically first must win
+        for m in (1, 2):
+            yield MultiObjectiveProblem(
+                n=8, m=m,
+                evaluate=lambda x, m=m: np.full(m, float(np.sum(x))),
+                gradient=lambda x, m=m: np.ones((m, 8)),
+                lipschitz=np.ones(m),
+            ), 3
+        for m in (1, 2, 3):
+            yield zero_gradient_problem(n=8, m=m), 3
+
+    def results(self, p, s):
+        rng = np.random.default_rng(p.n * 10 + p.m)
+        L = 1.1 * float(p.lipschitz.max())
+        tiny = project_sparse(rng.normal(size=p.n), s)
+        tiny[tiny == 0.0] = rng.normal(size=p.n)[tiny == 0.0] * 1e-13
+        points = [np.zeros(p.n), project_sparse(rng.normal(size=p.n) * 2, max(s // 2, 1)),
+                  project_sparse(rng.normal(size=p.n), s), tiny]
+        out = []
+        for x in points:
+            for sol in (theta_L(p, x, s, L), theta_feasible(p, x, s)):
+                out.append((sol.support.indices, sol.theta, sol.d.tobytes(), sol.lam.tobytes()))
+        return out
+
+    def test_screened_matches_full(self, monkeypatch):
+        import sparsemoo.directions as directions
+
+        monkeypatch.setattr(directions, "_SCREEN_MIN", 10**18)
+        full = [self.results(p, s) for p, s in self.cases()]
+        monkeypatch.setattr(directions, "_SCREEN_MIN", 0)
+        screened = [self.results(p, s) for p, s in self.cases()]
+        assert screened == full
+        # tie instances at the origin: theta_L and theta_feasible pick (0, 1, 2)
+        assert full[12][0][0] == full[12][1][0] == (0, 1, 2)
+        assert full[13][0][0] == full[13][1][0] == (0, 1, 2)
+
+    def test_scores_few_supports(self, quadratic_factory, monkeypatch):
+        import sparsemoo.directions as directions
+
+        p = quadratic_factory(n=20, kappa=10.0, seed=0)
+        x = project_sparse(np.random.default_rng(0).normal(size=20), 5)
+        L = 1.1 * float(p.lipschitz.max())
+        rows = []
+        real = directions._thetas
+
+        def counting(grads, K, L, B):
+            rows.append(K.shape[0])
+            return real(grads, K, L, B)
+
+        monkeypatch.setattr(directions, "_thetas", counting)
+        calls = [lambda: theta_L(p, x, 5, L), lambda: theta_L(p, np.zeros(20), 5, L),
+                 lambda: theta_feasible(p, np.zeros(20), 5)]
+        for call in calls:
+            rows.clear()
+            call()
+            # C(20, 5) = 15,504 supports; the bound leaves a handful to score
+            assert 0 < sum(rows) <= 50
+
+
 class TestStationarityTests:
     def test_examples(self, example_problem):
         assert is_L_stationary(example_problem, np.array([2.0, 0.0]), 1, 1.01, 1e-7)
