@@ -11,19 +11,19 @@ QP
     min_{lambda in Delta_m}  q(lambda) = (1/(2L)) ||G lambda||^2 - b^T lambda
 
 and the primal optimum is recovered as ``d = -(1/L) G lambda*`` with value
-``theta = -q(lambda*)``.
+``theta = -q(lambda*)``.  Two objectives have a closed form; beyond that a
+finite active-set method on the dual adds or drops one weight per step, in
+the style of Wolfe's nearest-point algorithm.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-# Duality-gap certificate target for the face-enumeration / projected
-# gradient paths.
-GAP_TOL = 1e-9
+# Pricing tolerance of the active-set method, relative to max|H| + max|b|.
+_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,6 @@ class DirectionSolution:
     d: np.ndarray
     lam: np.ndarray
     theta: float
-
-
-def project_onto_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the unit simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
 
 
 def _primal_value(G, b, L, d):
@@ -76,59 +66,54 @@ def _solve_m2(G, b, L):
     return np.array([t, 1.0 - t])
 
 
-def _solve_faces(G, b, L):
-    # The optimal lambda* has some active face A = supp(lambda*); on that
-    # face it satisfies the equality-constrained KKT system, so enumerating
-    # all faces and keeping the best feasible stationary point is exact.
-    m = G.shape[1]
-    H = (G.T @ G) / L
-    ones = np.ones(m)
-    best = None
-    best_q = np.inf
-    for size in range(1, m + 1):
-        for face in itertools.combinations(range(m), size):
-            idx = list(face)
-            if size == 1:
-                lam_face = np.array([1.0])
-            else:
-                kkt = np.zeros((size + 1, size + 1))
-                kkt[:size, :size] = H[np.ix_(idx, idx)]
-                kkt[:size, size] = 1.0
-                kkt[size, :size] = 1.0
-                rhs = np.append(b[idx], 1.0)
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-                lam_face = sol[:size]
-                if np.any(lam_face < -1e-10):
-                    continue
-                if abs(lam_face.sum() - 1.0) > 1e-8:
-                    continue
-            lam = np.zeros(m)
-            lam[idx] = np.clip(lam_face, 0.0, None)
-            lam /= lam.sum()
-            q = lam @ H @ lam / 2.0 - float(b @ lam)
-            if q < best_q - 1e-15:
-                best_q = q
-                best = lam
-    return best
-
-
-def _solve_projected_gradient(G, b, L, lam0=None, tol=GAP_TOL, max_iter=200_000):
-    # Frank-Wolfe gap lam@grad - min_j grad_j certifies the distance to the
-    # dual optimum by convexity of q.
-    m = G.shape[1]
-    H = (G.T @ G) / L
-    step = 1.0 / max(np.linalg.eigvalsh(H).max(), 1e-12)
-    lam = np.full(m, 1.0 / m) if lam0 is None else lam0.copy()
-    for _ in range(max_iter):
-        grad = H @ lam - b
-        gap = float(lam @ grad) - float(grad.min())
-        if gap <= tol:
-            break
-        lam = project_onto_simplex(lam - step * grad)
-    return lam
+def _solve_active_set(H, b):
+    # Primal active-set method: each pass either moves toward the minimizer
+    # of q on the current face (dropping the first index that reaches 0) or,
+    # at a face optimum, adds the index with the most negative reduced
+    # gradient.  Every add strictly lowers q, so no face repeats.
+    m = b.size
+    scale = np.abs(H).max() + np.abs(b).max()
+    H, b = H / scale, b / scale
+    lam = np.zeros(m)
+    face = [int(np.argmin(0.5 * np.diag(H) - b))]
+    lam[face] = 1.0
+    at_optimum = True
+    for _ in range(4 << m):  # guard only: there are 2^m - 1 faces
+        if at_optimum:
+            grad = H @ lam - b
+            reduced = grad - float(lam @ grad)
+            reduced[face] = np.inf
+            j = int(np.argmin(reduced))
+            if reduced[j] >= -_TOL:
+                break
+            face.append(j)
+        k = len(face)
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = H[np.ix_(face, face)]
+        kkt[k, k] = 0.0
+        rhs = np.append(b[face], 1.0)
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        # One step of iterative refinement recovers the digits the SVD
+        # solve loses on faces where H is large and nearly flat.
+        sol += np.linalg.lstsq(kkt, rhs - kkt @ sol, rcond=None)[0]
+        res = (rhs - kkt @ sol)[:k]
+        if np.abs(res).max() > _TOL * (1.0 + np.abs(sol).max()):
+            # Inconsistent KKT system: H is flat along the residual and q
+            # falls linearly along it, so move to the boundary.
+            step, limit = res / np.abs(res).max(), np.inf
+        else:
+            step, limit = sol[:k] - lam[face], 1.0
+        ratios = np.full(k, np.inf)
+        neg = step < 0.0
+        ratios[neg] = lam[face][neg] / -step[neg]
+        i = int(np.argmin(ratios))
+        t = min(limit, ratios[i])
+        lam[face] = np.maximum(lam[face] + t * step, 0.0)
+        at_optimum = t == limit
+        if not at_optimum:
+            lam[face[i]] = 0.0
+            del face[i]
+    return lam / lam.sum()
 
 
 def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0) -> DirectionSolution:
@@ -144,9 +129,11 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
     L : float
         Curvature of the quadratic term, strictly positive.
 
-    The dual is solved exactly: closed form for m <= 2, active-face
-    enumeration for m <= 4, and projected gradient with a duality-gap
-    certificate below ``1e-9`` otherwise.
+    The dual is solved exactly: in closed form for m <= 2 and by a finite
+    active-set method for m >= 3.  The latter stops at a face optimum where
+    no other weight has a reduced gradient below ``-1e-13 * (max|H| +
+    max|b|)``, ``H = G^T G / L``, which bounds the Frank-Wolfe gap of the
+    dual by the same amount.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if G.ndim != 2:
@@ -172,15 +159,8 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
         lam = np.ones(1)
     elif m == 2:
         lam = _solve_m2(G, b, L)
-    elif m <= 4:
-        lam = _solve_faces(G, b, L)
-        grad = (G.T @ G) @ lam / L - b
-        if float(lam @ grad) - float(grad.min()) > GAP_TOL / 10.0:
-            # Degenerate faces can hide the optimum from the KKT solve;
-            # polish until the certificate holds.
-            lam = _solve_projected_gradient(G, b, L, lam0=lam, tol=GAP_TOL / 10.0)
     else:
-        lam = _solve_projected_gradient(G, b, L)
+        lam = _solve_active_set((G.T @ G) / L, b)
 
     d = -(G @ lam) / L
     theta = _primal_value(G, b, L, d)

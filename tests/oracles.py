@@ -24,6 +24,43 @@ def grid_theta_m2(G, b=None, L=1.0, step=1e-4):
     return -float(q[i]), float(ts[i])
 
 
+def face_theta(G, b=None, L=1.0):
+    """Exact simplex-QP value ``theta = -min q`` by enumerating all 2^m - 1 faces.
+
+    The optimal weights are a stationary point of q on the affine hull of
+    their own support, so solving each face's KKT system (least squares when
+    it is singular) and keeping the best feasible solution is exact.
+    """
+    G = np.asarray(G, dtype=float)
+    m = G.shape[1]
+    b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
+    H = (G.T @ G) / L
+    scale = np.abs(H).max() + np.abs(b).max()  # conditions the KKT solves
+    Hs, bs = H / scale, b / scale
+    best_q = np.inf
+    for size in range(1, m + 1):
+        for face in itertools.combinations(range(m), size):
+            idx = list(face)
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = Hs[np.ix_(idx, idx)]
+            kkt[size, size] = 0.0
+            sol = np.linalg.lstsq(kkt, np.append(bs[idx], 1.0), rcond=None)[0]
+            if np.any(sol[:size] < -1e-10) or sol[:size].sum() <= 0.0:
+                continue
+            lam = np.zeros(m)
+            lam[idx] = np.clip(sol[:size], 0.0, None)
+            lam /= lam.sum()
+            best_q = min(best_q, lam @ H @ lam / 2.0 - float(b @ lam))
+    return -float(best_q)
+
+
+def scaled_gap(G, b, L, lam):
+    """Frank-Wolfe gap of the simplex dual at ``lam`` over ``max|H| + max|b|``."""
+    H = (G.T @ G) / L
+    grad = H @ lam - b
+    return (float(lam @ grad) - float(grad.min())) / (np.abs(H).max() + np.abs(b).max())
+
+
 def grid_theta_m1(g, b=0.0, L=1.0):
     g = np.asarray(g, dtype=float)
     return float(b) - float(g @ g) / (2.0 * L)

@@ -224,7 +224,7 @@ def test_criterion_5_dual_solver_correctness():
         5,
         worst <= 1e-6 and worst_gap <= 1e-9,
         f"dual solver vs lambda-grid on 1000 biobjective instances "
-        f"(worst |dtheta| {worst:.2e}) and face-enumeration duality gap on "
+        f"(worst |dtheta| {worst:.2e}) and active-set duality gap on "
         f"300 m<=4 instances (worst {worst_gap:.2e})",
     )
 

@@ -90,6 +90,18 @@ class TestSolve:
     def test_requires_problem_source(self, tmp_path):
         assert run("solve", "--out", tmp_path / "f.csv") == 1
 
+    def test_scalarized_large_weights(self, tmp_path):
+        # the trade-off grid reaches lambda ~ 6e9 at n = 40; moiht's
+        # descent-lemma check must allow for rounding at that magnitude
+        inst, out = tmp_path / "i.json", tmp_path / "f.csv"
+        assert run("generate", "--n", 40, "--kappa", 1, "--s", 3, "--seed", 0,
+                   "--out", inst) == 0
+        assert run("solve", "--instance", inst, "--strategy", "scalarized",
+                   "--out", out) == 0
+        F, X, sups = read_front_csv(out)
+        assert F.shape[0] > 0
+        assert all(np.count_nonzero(x) <= 3 for x in X)
+
 
 class TestFront:
     @pytest.fixture

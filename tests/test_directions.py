@@ -17,7 +17,7 @@ from sparsemoo import (
 )
 
 from conftest import single_objective_quadratic
-from oracles import enum_theta_L, enum_theta_feasible
+from oracles import enum_theta_L, enum_theta_feasible, scaled_gap
 
 
 def zero_gradient_problem(n=3, m=2):
@@ -223,15 +223,13 @@ def _simplex_grid_theta(grads, x, K, L, step):
     b = grads @ c + 0.5 * L * float(c @ c)
     G = grads[:, list(K)].T
     ticks = int(round(1.0 / step))
-    best = np.inf
-    for combo in __import__("itertools").product(range(ticks + 1), repeat=m - 1):
-        if sum(combo) > ticks:
-            continue
-        lam = np.array(list(combo) + [ticks - sum(combo)], dtype=float) / ticks
-        Gl = G @ lam
-        q = float(Gl @ Gl) / (2 * L) - float(b @ lam)
-        best = min(best, q)
-    return -best
+    axes = np.meshgrid(*[np.arange(ticks + 1)] * (m - 1), indexing="ij")
+    combos = np.stack([a.ravel() for a in axes], axis=1)
+    combos = combos[combos.sum(axis=1) <= ticks]
+    lam = np.column_stack([combos, ticks - combos.sum(axis=1)]) / ticks
+    Gl = lam @ G.T
+    q = np.einsum("ij,ij->i", Gl, Gl) / (2 * L) - lam @ b
+    return -float(q.min())
 
 
 class TestThreeObjectives:
@@ -376,6 +374,17 @@ class TestScreenedSearch:
         # tie instances at the origin: theta_L and theta_feasible pick (0, 1, 2)
         assert full[12][0][0] == full[12][1][0] == (0, 1, 2)
         assert full[13][0][0] == full[13][1][0] == (0, 1, 2)
+
+    def test_ill_conditioned_certificate(self):
+        # kappa = 1000 puts |H| near 7e6; the dual weights must still meet a
+        # Frank-Wolfe gap relative to that scale
+        p, s = conditioned_problem(8, 3, 1000.0, seed=3), 4
+        rng = np.random.default_rng(p.n * 10 + p.m)
+        rng.normal(size=p.n), rng.normal(size=p.n)  # the draws of results()' tiny point
+        x = project_sparse(rng.normal(size=p.n) * 2, 2)
+        sol = theta_feasible(p, x, s)
+        G = np.asarray(p.gradient(x), dtype=float)[:, sol.support.as_array()].T
+        assert scaled_gap(G, np.zeros(p.m), 1.0, sol.lam) <= 1e-12
 
     def test_scores_few_supports(self, quadratic_factory, monkeypatch):
         import sparsemoo.directions as directions

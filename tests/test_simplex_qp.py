@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from sparsemoo import solve_simplex_qp
-from sparsemoo.simplex_qp import project_onto_simplex
 
-from oracles import grid_theta_m2
+from oracles import face_theta, grid_theta_m2, scaled_gap
 
 
 def random_instance(rng, k, m, with_offsets=True):
@@ -99,16 +98,34 @@ class TestSolutionInvariants:
             Gl = G @ sol.lam
             dual = -(float(Gl @ Gl) / (2 * L) - float(b @ sol.lam))
             assert abs(sol.theta - dual) <= 1e-9
-
-    def test_projected_gradient_path(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            m = int(rng.integers(5, 8))
-            G, b, L = random_instance(rng, 4, m)
+        # gradients scaled over seven decades: the certificate is relative
+        # to the scale of H and b, not absolute
+        for _ in range(300):
+            m = int(rng.integers(3, 5))
+            G, b, L = random_instance(rng, int(rng.integers(1, 6)), m)
+            G = G * 10.0 ** rng.uniform(-3.0, 4.0)
             sol = solve_simplex_qp(G, b, L)
-            Gl = G @ sol.lam
-            dual = -(float(Gl @ Gl) / (2 * L) - float(b @ sol.lam))
-            assert abs(sol.theta - dual) <= 1e-8
+            assert scaled_gap(G, b, L, sol.lam) <= 1e-12
+
+    def test_face_oracle_m3_m4(self):
+        rng = np.random.default_rng(9)
+        for _ in range(1000):
+            m = int(rng.integers(3, 5))
+            G, b, L = random_instance(rng, int(rng.integers(1, 6)), m,
+                                      with_offsets=bool(rng.integers(0, 4)))
+            theta = face_theta(G, b, L)
+            assert solve_simplex_qp(G, b, L).theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
+
+    def test_face_oracle_m5_to_m8(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            m = int(rng.integers(5, 9))
+            G, b, L = random_instance(rng, int(rng.integers(1, 7)), m,
+                                      with_offsets=bool(rng.integers(0, 4)))
+            theta = face_theta(G, b, L)
+            sol = solve_simplex_qp(G, b, L)
+            assert sol.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
+            assert scaled_gap(G, b, L, sol.lam) <= 1e-12
 
 
 class TestEdgeCases:
@@ -118,6 +135,18 @@ class TestEdgeCases:
         np.testing.assert_allclose(sol.lam, np.full(4, 0.25))
         assert sol.theta == 3.0
 
+    def test_large_rank_one_gradients(self):
+        # |H| ~ 1.6e8 with the optimum on a 2-face where G lambda ~ 0: a
+        # plain SVD solve of the face KKT system leaves a gap of 5e-7,
+        # above the duality sandwich's 1e-7 * max(1, |theta|)
+        G = np.array([[-6750.685897330336, 18001.97561277428, 10045.697056087969]])
+        b = np.array([-1.2116360835163504, -0.02296686031789293, -0.00879144060955676])
+        L = 2.0562635806402554
+        sol = solve_simplex_qp(G, b, L)
+        np.testing.assert_array_equal(sol.lam == 0.0, [False, True, False])
+        assert sol.theta == pytest.approx(face_theta(G, b, L), abs=1e-7)
+        assert scaled_gap(G, b, L, sol.lam) <= 1e-15
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             solve_simplex_qp(np.array([[np.nan], [1.0]]))
@@ -125,14 +154,3 @@ class TestEdgeCases:
             solve_simplex_qp(np.ones((2, 1)), np.array([np.inf]))
         with pytest.raises(ValueError):
             solve_simplex_qp(np.ones((2, 1)), None, -1.0)
-
-    def test_simplex_projection(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            v = rng.normal(size=int(rng.integers(1, 8))) * 3
-            w = project_onto_simplex(v)
-            assert np.all(w >= 0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-9)
-            # projection optimality via a random feasible comparison point
-            z = rng.dirichlet(np.ones(v.size))
-            assert np.linalg.norm(v - w) <= np.linalg.norm(v - z) + 1e-9
