@@ -126,10 +126,9 @@ def read_front_csv(path):
     return np.array(fs), np.array(xs), sups
 
 
-def _write_meta(out_csv, meta):
-    meta_path = Path(str(out_csv) + ".meta.json")
-    with meta_path.open("w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
+def _write_json(path, doc):
+    with Path(path).open("w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -270,7 +269,7 @@ def cmd_solve(args) -> int:
     keep = filter_nondominated(np.array([r[0] for r in rows]))
     rows = [rows[i] for i in keep]
     write_front_csv(args.out, rows, problem.n, problem.m)
-    _write_meta(args.out, {
+    _write_json(f"{args.out}.meta.json", {
         "command": "solve",
         "strategy": args.strategy,
         "seed": args.seed,
@@ -297,7 +296,7 @@ def cmd_front(args) -> int:
         args.wallclock, crowding=args.crowding, explore_spacing=args.explore_spacing,
     )
     write_front_csv(args.out, rows, problem.n, problem.m)
-    _write_meta(args.out, {
+    _write_json(f"{args.out}.meta.json", {
         "command": "front",
         "strategy": args.strategy,
         "seed": args.seed,
@@ -370,7 +369,7 @@ def cmd_metrics(args) -> int:
         rescaled = rescale_logistic_objectives(fronts + [reference])
         spread = (rescaled[:-1], rescaled[-1])
     ref_point = _write_metrics_table(args.out, named, reference, spread)
-    _write_meta(args.out, {
+    _write_json(f"{args.out}.meta.json", {
         "command": "metrics",
         "reference": args.reference,
         "reference_points": int(reference.shape[0]),
@@ -383,23 +382,33 @@ def cmd_metrics(args) -> int:
 
 
 def _write_profiles(metrics_csvs, out_dir):
-    """Per-metric profile CSVs over metric tables, one table per problem."""
+    """Per-metric profile CSVs over metric tables, one per problem; bad tables raise DataError."""
     tables = {}
     for path in metrics_csvs:
         with Path(path).open(newline="") as fh:
-            tables[Path(path).stem] = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            missing = [c for c in ["solver"] + [metric for metric, _ in METRICS]
+                       if c not in (reader.fieldnames or [])]
+            if missing:
+                raise DataError(f"{path}: metrics CSV lacks column(s) {', '.join(missing)}")
+            try:  # each row as (solver, values in METRICS order)
+                tables[Path(path).stem] = [
+                    (row["solver"], [float(row[metric]) for metric, _ in METRICS])
+                    for row in reader]
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not tables:
         raise ValueError("at least one --metrics-csv is required")
-    solvers = sorted({row["solver"] for rows in tables.values() for row in rows})
+    solvers = sorted({solver for rows in tables.values() for solver, _ in rows})
     problems = sorted(tables)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for metric, higher in METRICS:
+    for k, (metric, higher) in enumerate(METRICS):
         V = np.full((len(problems), len(solvers)), np.nan)
         for i, prob in enumerate(problems):
-            for row in tables[prob]:
-                j = solvers.index(row["solver"])
-                val = float(row[metric])
+            for solver, values in tables[prob]:
+                j = solvers.index(solver)
+                val = values[k]
                 if higher and val == 0.0:
                     continue  # zero score = failure under the inversion rule
                 if np.isfinite(val):
@@ -447,6 +456,9 @@ def _load_manifest(path):
         if not isinstance(entry, dict):
             raise DataError(f"manifest 'instances[{i}]' must be an object")
         if "path" in entry:
+            if not isinstance(entry["path"], str):
+                raise DataError(
+                    f"manifest 'instances[{i}].path' must be a string, got {entry['path']!r}")
             continue
         example4 = entry.get("type") == "example4"
         need = ("s",) if example4 else ("n", "kappa", "s")
@@ -476,6 +488,8 @@ def _load_manifest(path):
     _check_number("seed", manifest.get("seed", 0), 0)
     for key in ("n_starts", "sfsd_budget", "solver_budget"):
         _check_number(key, manifest.get(key, 1), 1)
+    if not isinstance(manifest.get("out_dir", ""), str):
+        raise DataError(f"manifest 'out_dir' must be a string, got {manifest['out_dir']!r}")
     return manifest
 
 
@@ -501,11 +515,9 @@ def cmd_reproduce(args) -> int:
             path = (manifest_path.parent / entry["path"]).resolve()
             if not path.exists():
                 raise DataError(f"manifest references missing instance {path}")
-            inst_files.append(path)
         elif entry.get("type") == "example4":
             path = inst_dir / f"example4_s{entry['s']}.json"
             save_instance(path, "example4", entry["s"])
-            inst_files.append(path)
         else:
             inst = generate_quadratic(entry["n"], entry["kappa"], entry.get("seed", 0))
             path = inst_dir / (
@@ -513,7 +525,7 @@ def cmd_reproduce(args) -> int:
                 f"_seed{entry.get('seed', 0)}.json"
             )
             save_instance(path, inst, entry["s"])
-            inst_files.append(path)
+        inst_files.append(path)
     loaded = [load_instance(path) for path in inst_files]
 
     # Runs go serially in manifest order: instance, strategy, run seed.
@@ -563,9 +575,7 @@ def cmd_reproduce(args) -> int:
             "few seeds they are sparser than a full-protocol reference"
         ),
     }
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     print(f"reproduced {len(by_instance)} instances into {out_dir}")
     return EXIT_OK
 

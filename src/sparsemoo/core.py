@@ -2,7 +2,7 @@
 
 Everything downstream works on a feasible set of the form
 ``{x in R^n : ||x||_0 <= s}`` (vectors with at most ``s`` nonzero entries),
-here always called ``Omega``.
+here always called ``Omega``; :func:`check_point` validates a point of it.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ class CapacityError(RuntimeError):
     """A support enumeration would exceed ``MAX_SUPPORTS``."""
 
 
-def support(x: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+def support(x: np.ndarray) -> np.ndarray:
     """Indices of the nonzero components of ``x`` (0-based, sorted)."""
-    return np.flatnonzero(np.abs(np.asarray(x, dtype=float)) > tol)
+    return np.flatnonzero(np.abs(np.asarray(x, dtype=float)) > ZERO_TOL)
 
 
-def l0_norm(x: np.ndarray, tol: float = ZERO_TOL) -> int:
+def l0_norm(x: np.ndarray) -> int:
     """Number of nonzero components of ``x``."""
-    return int(support(x, tol).size)
+    return int(support(x).size)
 
 
 def check_budget(s: int, n: int) -> int:
@@ -44,9 +44,18 @@ def check_budget(s: int, n: int) -> int:
     return s
 
 
-def is_feasible(x: np.ndarray, s: int, tol: float = ZERO_TOL) -> bool:
+def is_feasible(x: np.ndarray, s: int) -> bool:
     """True iff ``x`` has at most ``s`` nonzero components."""
-    return l0_norm(x, tol) <= s
+    return l0_norm(x) <= s
+
+
+def check_point(x: np.ndarray, s: int, n: int):
+    """Return ``(x as a float array, s)``; ``ValueError`` unless ``x`` in R^n lies in Omega."""
+    x = np.asarray(x, dtype=float)
+    s = check_budget(s, n)
+    if not is_feasible(x, s):
+        raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
+    return x, s
 
 
 @dataclass(frozen=True, order=True)
@@ -82,8 +91,8 @@ class SupportSet:
         inside = set(self.indices)
         return tuple(i for i in range(self.n) if i not in inside)
 
-    def contains_support_of(self, x: np.ndarray, tol: float = ZERO_TOL) -> bool:
-        return set(support(x, tol)) <= set(self.indices)
+    def contains_support_of(self, x: np.ndarray) -> bool:
+        return set(support(x)) <= set(self.indices)
 
     def to_1based(self) -> tuple:
         return tuple(i + 1 for i in self.indices)
@@ -182,13 +191,10 @@ def super_supports(x: np.ndarray, s: int) -> list:
     of them, and exactly one when ``||x||_0 == s``.  Raises
     :class:`CapacityError` when there are more than ``MAX_SUPPORTS``.
     """
-    x = np.asarray(x, dtype=float)
+    x, s = check_point(x, s, np.size(x))
     n = x.size
-    s = check_budget(s, n)
     base = support(x)
     k = base.size
-    if k > s:
-        raise ValueError(f"point has {k} nonzeros, exceeding the budget s={s}")
     count = math.comb(n - k, s - k)
     if count > MAX_SUPPORTS:
         raise CapacityError(

@@ -30,9 +30,8 @@ from .core import (
     MAX_SUPPORTS,
     CapacityError,
     SupportSet,
-    check_budget,
+    check_point,
     is_feasible,
-    l0_norm,
     support,
 )
 from .simplex_qp import DirectionSolution, solve_simplex_qp
@@ -267,10 +266,7 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
     conversely every d supported on such a J is feasible; so the problem
     reduces to the minimum of ``theta_subspace`` over all J in J(x).
     """
-    x = np.asarray(x, dtype=float)
-    s = check_budget(s, p.n)
-    if not is_feasible(x, s):
-        raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
+    x, s = check_point(x, s, p.n)
     grads = np.asarray(p.gradient(x), dtype=float)
     # theta_L's search at the origin (no offsets), L = 1, support of x forced in
     best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x),
@@ -292,12 +288,9 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     Lagrangian bound rules coordinates in or out first and only the supports
     that can still attain the minimum are scored.
     """
-    x = np.asarray(x, dtype=float)
-    s = check_budget(s, p.n)
+    x, s = check_point(x, s, p.n)
     if L <= 0 or not np.isfinite(L):
         raise ValueError(f"curvature L must be positive and finite, got {L}")
-    if not is_feasible(x, s):
-        raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
     grads = np.asarray(p.gradient(x), dtype=float)
     X2 = float(x @ x)
     P = grads @ x  # (m,)

@@ -128,20 +128,19 @@ def example_biobjective() -> MultiObjectiveProblem:
                                  lipschitz=np.array([1.0, 1.0]))
 
 
-def _power_spectral_norm(R: np.ndarray, rel_tol: float = 1e-8,
-                         max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of R^T R by power iteration (relative tolerance)."""
+def _power_spectral_norm(R: np.ndarray) -> float:
+    """Largest eigenvalue of R^T R by power iteration (relative tolerance 1e-8)."""
     n = R.shape[1]
     v = np.ones(n) / np.sqrt(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         w = R.T @ (R @ v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v_new = w / norm
         lam_new = float(v_new @ (R.T @ (R @ v_new)))
-        if abs(lam_new - lam) <= rel_tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= 1e-8 * max(1.0, abs(lam_new)):
             return lam_new
         lam, v = lam_new, v_new
     return lam

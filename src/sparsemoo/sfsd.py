@@ -18,18 +18,19 @@ from .core import (
     MultiObjectiveProblem,
     SupportSet,
     check_budget,
+    check_point,
     dominates,
     filter_nondominated,
     is_feasible,
     l0_norm,
     project_sparse,
-    super_supports,
     support,
 )
 from .directions import theta_feasible, theta_subspace
 from .solvers import (
     SolverConfig,
     armijo_common,
+    backtrack,
     default_config,
     default_lambda_grid,
     mohyb,
@@ -43,6 +44,8 @@ from .solvers import (
 # below it a direction is numerically indistinguishable from stationarity.
 THETA_TOL = 1e-10
 DEDUPE_TOL = 1e-10
+# sfsd_run's closing refinement drives every entry to theta_subspace > -FINAL_EPS.
+FINAL_EPS = 1e-4
 
 # Phase-one strategies, in the order the CLI lists them.
 STRATEGIES = ("moiht", "mospd", "mohyb", "scalarized")
@@ -189,25 +192,22 @@ def crowding_distance(fvals) -> np.ndarray:
 
 
 def assign_super_support(p: MultiObjectiveProblem, x: np.ndarray, s: int,
-                         eps: float = 1e-7, cfg: SolverConfig | None = None):
+                         cfg: SolverConfig | None = None):
     """Attach a super support set to ``x``, descending first if it can move.
 
     A full-support point has a unique super support.  Otherwise, while the
-    feasible-descent measure certifies strict descent, one Armijo step along
+    feasible-descent measure is below ``-cfg.eps``, one Armijo step along
     the steepest feasible direction is taken (which may activate new
     coordinates); once stationary with spare room, the support is completed
     with the smallest unused indices.  Returns ``(point, SupportSet)``.
     """
-    x = np.asarray(x, dtype=float)
-    s = check_budget(s, p.n)
-    if not is_feasible(x, s):
-        raise ValueError(f"point with {l0_norm(x)} nonzeros is infeasible for s={s}")
+    x, s = check_point(x, s, p.n)
     cfg = cfg if cfg is not None else default_config(p)
     for _ in range(1000):
         if l0_norm(x) == s:
-            return x, super_supports(x, s)[0]
+            break  # the support is the only super support
         sol = theta_feasible(p, x, s)
-        if sol.theta > -eps:
+        if sol.theta > -cfg.eps:
             break
         alpha = armijo_common(p, x, sol.d, sol.theta, None, cfg)
         if alpha == 0.0:
@@ -259,10 +259,10 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
             x, trace = moiht(p, x0, s, cfg)
             counts.append(len(trace.iterates) - 1)
         elif strategy == "mospd":
-            x, info = mospd(p, x0, s, cfg, full_output=True)
+            x, info = mospd(p, x0, s, cfg)
             counts.append(info["outer_iterations"])
         else:
-            x, info = mohyb(p, x0, s, cfg, full_output=True)
+            x, info = mohyb(p, x0, s, cfg)
             counts.append(info["moiht_iterations"])
         points.append(x)
     return points, counts
@@ -287,7 +287,7 @@ def initialize(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
         fx = np.asarray(p.evaluate(x), dtype=float)
         if not np.all(np.isfinite(fx)):
             continue
-        x_assigned, J = assign_super_support(p, x, s, cfg.eps, cfg)
+        x_assigned, J = assign_super_support(p, x, s, cfg)
         entries.append(ArchiveEntry(x=x_assigned, J=J, fvals=p.evaluate(x_assigned)))
     return ParetoArchive.from_entries(entries)
 
@@ -320,7 +320,7 @@ def _explore_allowed(group, entry: ArchiveEntry, mode: str) -> bool:
 
 
 def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
-                      cfg: SolverConfig, spacing: float, max_halvings: int = 50):
+                      cfg: SolverConfig, spacing: float):
     """Largest alpha0*delta^h step beating every key mate on some objective.
 
     With ``spacing > 0`` a candidate is also rejected when its objective
@@ -336,22 +336,17 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
         scale[scale <= 0.0] = np.inf  # flat objective: no spacing constraint
     else:
         scale = None
-    a = cfg.armijo.alpha0
-    for _ in range(max_halvings + 1):
-        cand = z_entry.x + a * d
-        fc = np.asarray(p.evaluate(cand), dtype=float)
-        if np.all(np.any(fc < mate_F, axis=1)):
-            if scale is None or not bool(
-                np.any(np.all(np.abs(fc - mate_F) / scale <= spacing, axis=1))
-            ):
-                return a, cand, fc
-        a *= cfg.armijo.delta
-    return 0.0, None, None
+
+    def accept(a, fc):
+        return np.all(np.any(fc < mate_F, axis=1)) and (
+            scale is None or not np.any(np.all(np.abs(fc - mate_F) / scale <= spacing, axis=1)))
+
+    return backtrack(p, z_entry.x, d, cfg, accept)
 
 
 def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
              cfg: SolverConfig, budget: int, crowding: str = "mean",
-             final_eps: float = 1e-4, explore_spacing: float = 5e-3,
+             explore_spacing: float = 5e-3,
              deadline: float | None = None) -> ParetoArchive:
     """Phase two: front steepest descent over per-support archives.
 
@@ -372,8 +367,9 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     stop early.  0 restores the literal acceptance rule.
 
     After the sweeps a refinement pass drives every surviving entry to
-    subspace stationarity within ``final_eps`` and re-filters each key, so
-    final entries satisfy the subspace optimality test at that tolerance.
+    subspace stationarity within ``FINAL_EPS`` (1e-4) and re-filters each
+    key, so final entries satisfy the subspace optimality test at that
+    tolerance.
     """
     s = check_budget(s, p.n)
     work = archive0.copy()
@@ -389,7 +385,7 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
         if cur == prev:
             break
         prev = cur
-    _refine_archive(p, work, cfg, final_eps)
+    _refine_archive(p, work, cfg)
     if __debug__:
         work.check_invariants()
         assert all(is_feasible(e.x, s) for e in work.entries())
@@ -427,13 +423,13 @@ def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfi
         work.insert(ArchiveEntry(x=cand, J=entry.J, fvals=fc))
 
 
-def _refine_archive(p, work: ParetoArchive, cfg: SolverConfig, final_eps: float):
+def _refine_archive(p, work: ParetoArchive, cfg: SolverConfig):
     for entry in work.entries():
         if not work.contains(entry):
             continue
-        if theta_subspace(p, entry.x, entry.J).theta > -final_eps:
+        if theta_subspace(p, entry.x, entry.J).theta > -FINAL_EPS:
             continue
-        x_new = mosd(p, entry.x, entry.J, final_eps, cfg)
+        x_new = mosd(p, entry.x, entry.J, FINAL_EPS, cfg)
         work.remove(entry)
         work.insert(
             ArchiveEntry(x=x_new, J=entry.J, fvals=p.evaluate(x_new)),

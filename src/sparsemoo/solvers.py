@@ -1,25 +1,25 @@
 """Single-point solvers: hard-thresholding descent, penalty decomposition,
 their cascade, a fixed-support steepest-descent refiner and a scalarized
 baseline.
+
+Every step-size search backtracks over ``alpha0 * delta^h`` for
+``h = 0..MAX_HALVINGS`` through :func:`backtrack`; only the acceptance test
+differs between callers.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import (
-    MultiObjectiveProblem,
-    SupportSet,
-    check_budget,
-    is_feasible,
-    l0_norm,
-    project_sparse,
-)
+from .core import MultiObjectiveProblem, SupportSet, check_point, project_sparse
 from .directions import theta_L, theta_subspace
+
+# Backtracking tries alpha0 * delta^h for h = 0..MAX_HALVINGS, then gives up.
+MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,7 @@ def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
 
     Returns ``(point, SolverTrace)``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    s = check_budget(s, p.n)
-    if not is_feasible(x0, s):
-        raise ValueError(f"infeasible start: {l0_norm(x0)} nonzeros with s={s}")
+    x0, s = check_point(x0, s, p.n)
     if cfg.L <= float(np.max(p.lipschitz)):
         warnings.warn(
             f"curvature L={cfg.L} does not exceed max Lipschitz constant "
@@ -148,26 +145,36 @@ def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     return x, trace
 
 
+def backtrack(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, cfg: SolverConfig,
+              accept: Callable[[float, np.ndarray], bool]):
+    """First step ``a = alpha0 * delta^h``, h = 0..MAX_HALVINGS, that passes
+    ``accept(a, f(x + a d))``: returns ``(a, x + a d, f(x + a d))``, or
+    ``(0.0, None, None)`` when none does."""
+    a = cfg.armijo.alpha0
+    for _ in range(MAX_HALVINGS + 1):
+        cand = x + a * d
+        fc = np.asarray(p.evaluate(cand), dtype=float)
+        if accept(a, fc):
+            return a, cand, fc
+        a *= cfg.armijo.delta
+    return 0.0, None, None
+
+
 def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
-                  theta: float, I: Iterable[int] | None, cfg: SolverConfig,
-                  max_halvings: int = 50) -> float:
+                  theta: float, I: Iterable[int] | None, cfg: SolverConfig) -> float:
     """Largest step ``alpha0 * delta^h`` with sufficient decrease on every
     objective in ``I``: ``f_j(x + a d) <= f_j(x) + gamma * a * theta``.
 
     ``theta`` must be negative (a descent certificate); returns 0.0 if no
-    step up to ``h = max_halvings`` qualifies.
+    step up to ``h = MAX_HALVINGS`` qualifies.  ``I = None`` means every
+    objective.
     """
     if theta >= 0:
         raise ValueError("armijo_common needs a strictly negative theta")
     idx = list(range(p.m)) if I is None else sorted(set(int(j) for j in I))
     fx = np.asarray(p.evaluate(x), dtype=float)[idx]
-    a = cfg.armijo.alpha0
-    for _ in range(max_halvings + 1):
-        fc = np.asarray(p.evaluate(x + a * d), dtype=float)[idx]
-        if np.all(fc <= fx + cfg.armijo.gamma * a * theta):
-            return a
-        a *= cfg.armijo.delta
-    return 0.0
+    gamma = cfg.armijo.gamma
+    return backtrack(p, x, d, cfg, lambda a, fc: np.all(fc[idx] <= fx + gamma * a * theta))[0]
 
 
 def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
@@ -210,8 +217,7 @@ def _penalized(p: MultiObjectiveProblem, y: np.ndarray, tau: float) -> MultiObje
     )
 
 
-def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
-          full_output: bool = False):
+def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     """Sparse penalty decomposition: alternate penalized descent and projection.
 
     Outer loop over a growing penalty weight tau; inside, alternate
@@ -220,11 +226,11 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
     and (ii) the y-step ``y = project_sparse(x, s)``, until x moves less
     than the inner tolerance.  Stops once ``||x - y|| <= xy_tol`` and
     returns ``project_sparse(x, s)`` so the output is always feasible.
+
+    Returns ``(point, info)``: ``status`` ('converged' | 'budget_exhausted'),
+    iteration counts, final ``xy_gap``, ``tau_final`` and ``x_unprojected``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    s = check_budget(s, p.n)
-    if not is_feasible(x0, s):
-        raise ValueError(f"infeasible start: {l0_norm(x0)} nonzeros with s={s}")
+    x0, s = check_point(x0, s, p.n)
     full = SupportSet(tuple(range(p.n)), p.n)
     pen = cfg.penalty
     x = x0.copy()
@@ -253,31 +259,26 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
         eps_k *= pen.eps_shrink
         if tau > 1e14:
             break
-    out = project_sparse(x, s)
-    if full_output:
-        info = {
-            "status": status,
-            "outer_iterations": outer,
-            "inner_iterations": inner_total,
-            "xy_gap": xy_gap,
-            "x_unprojected": x,
-            "tau_final": tau,
-        }
-        return out, info
-    return out
+    return project_sparse(x, s), {
+        "status": status,
+        "outer_iterations": outer,
+        "inner_iterations": inner_total,
+        "xy_gap": xy_gap,
+        "x_unprojected": x,
+        "tau_final": tau,
+    }
 
 
-def mohyb(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig,
-          full_output: bool = False):
+def mohyb(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     """Penalty decomposition followed by hard-thresholding descent.
 
     The second stage starts from the first stage's output, so whenever it
-    converges the result is L-stationary within ``cfg.eps``.
+    converges the result is L-stationary within ``cfg.eps``.  Returns
+    ``(point, info)`` with the first stage's info under ``mospd``, the
+    second stage's ``moiht_iterations`` and its ``status``.
     """
-    x1, info1 = mospd(p, x0, s, cfg, full_output=True)
+    x1, info1 = mospd(p, x0, s, cfg)
     x2, trace = moiht(p, x1, s, cfg)
-    if not full_output:
-        return x2
     return x2, {
         "mospd": info1,
         "moiht_iterations": len(trace.iterates) - 1,

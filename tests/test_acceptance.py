@@ -314,7 +314,7 @@ def test_criterion_8_front_phase_improves_multistart():
         starts = -2.0 + 4.0 * rng.random((n_starts, 10))
         pts = []
         for row in starts:
-            x = mohyb(p, project_sparse(row, s), s, cfg)
+            x, _ = mohyb(p, project_sparse(row, s), s, cfg)
             sup = support(x)
             if sup.size:
                 x = mosd(p, x, SupportSet(tuple(int(i) for i in sup), 10), cfg.eps, cfg)

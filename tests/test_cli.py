@@ -255,6 +255,19 @@ class TestMetricsAndProfiles:
         # S1 failed the only problem: its curve never rises above zero
         assert all(float(ln.split(",")[2]) == 0.0 for ln in s1)
 
+    @pytest.mark.parametrize("text, message", [
+        ("solver,purity\nx,1.0\n", "lacks column(s) gamma_spread, delta_spread, hypervolume"),
+        ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0,abc,0.5,1.0\n", ":2:"),
+        ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0\n", ":2:"),
+    ], ids=["missing_columns", "non_numeric_cell", "short_row"])
+    def test_bad_metrics_csv_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert run("profiles", "--metrics-csv", path, "--out-dir", tmp_path / "p") == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert "Traceback" not in err
+
 
 class TestReproduce:
     def test_mini_manifest_end_to_end(self, tmp_path):
@@ -359,11 +372,13 @@ class TestReproduce:
         ({"instances": [{"type": "example4", "s": 1}], "n_starts": "x"}, "n_starts"),
         ({"instances": [{"type": "example4", "s": 1}], "sfsd_budget": 0}, "sfsd_budget"),
         ({"instances": [{"type": "example4", "s": 1}], "solver_budget": True}, "solver_budget"),
+        ({"instances": [{"n": 10, "kappa": 1, "s": 2}], "out_dir": 5}, "out_dir"),
+        ({"instances": [{"path": 5}]}, "instances[0].path"),
     ])
     def test_invalid_manifest_rejected(self, tmp_path, capsys, manifest, field):
         out_dir = tmp_path / "out"
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({**manifest, "out_dir": str(out_dir)}))
+        path.write_text(json.dumps({"out_dir": str(out_dir), **manifest}))
         assert run("reproduce", path) == 1
         assert field in capsys.readouterr().err
         assert not out_dir.exists()  # rejected before any work starts

@@ -146,7 +146,7 @@ class TestSuperSupports:
             assert all(len(S) == s for S in sets)
 
     def test_infeasible_point_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzeros is infeasible"):
             super_supports(np.array([1.0, 2.0, 3.0]), 2)
 
     def test_capacity_guard(self):

@@ -100,7 +100,7 @@ class TestThetaFeasible:
         assert sol.theta == pytest.approx(attained, abs=1e-12)
 
     def test_infeasible_rejected(self, example_problem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzeros is infeasible"):
             theta_feasible(example_problem, np.array([1.0, 1.0]), 1)
 
     def test_one_gradient_per_call(self, quadratic_factory):
@@ -208,7 +208,7 @@ class TestThetaL:
             theta_L(p, np.zeros(30), 15, 1.0)
 
     def test_invalid_inputs(self, example_problem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzeros is infeasible"):
             theta_L(example_problem, np.array([1.0, 1.0]), 1, 1.0)  # infeasible
         with pytest.raises(ValueError):
             theta_L(example_problem, np.array([1.0, 0.0]), 1, 0.0)  # bad L

@@ -93,7 +93,7 @@ class TestAssignSuperSupport:
         assert J.indices == (0, 1)
 
     def test_infeasible_rejected(self, example_problem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzeros is infeasible"):
             assign_super_support(example_problem, np.array([1.0, 1.0]), 1)
 
 

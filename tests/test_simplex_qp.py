@@ -147,6 +147,19 @@ class TestEdgeCases:
         assert sol.theta == pytest.approx(face_theta(G, b, L), abs=1e-7)
         assert scaled_gap(G, b, L, sol.lam) <= 1e-15
 
+    @pytest.mark.parametrize("G, b", [
+        ([[1e5, -2e5]], [1.0, -1.0]),
+        ([[1e5, -2e5, 1e5]], [1.0, -1.0, 0.5]),
+    ])
+    def test_large_gradients_pass_the_sandwich(self, G, b):
+        # max|H| = 4e10: the primal-dual gaps (1.6e-6 for m = 2, 4.9e-7 for
+        # m = 3) exceed 1e-7 * max(1, |theta|) but are rounding, about
+        # 4e-17 * (max|H| + max|b|)
+        G, b = np.array(G), np.array(b)
+        sol = solve_simplex_qp(G, b)
+        assert sol.theta == pytest.approx(1.0 / 3.0, abs=1e-5)
+        assert scaled_gap(G, b, 1.0, sol.lam) <= 1e-15
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             solve_simplex_qp(np.array([[np.nan], [1.0]]))

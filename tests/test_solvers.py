@@ -77,7 +77,7 @@ class TestMoiht:
             assert len(trace.iterates) - 1 < 10_000
 
     def test_infeasible_start_rejected(self, example_problem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzeros is infeasible"):
             moiht(example_problem, np.array([1.0, 1.0]), 1, SolverConfig(L=1.01))
 
     def test_low_curvature_warns(self, example_problem):
@@ -169,7 +169,7 @@ class TestMospd:
     def test_xy_gap_and_feasibility(self, example_problem):
         cfg = SolverConfig(L=1.01)
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
-        y, info = mospd(example_problem, x0, 1, cfg, full_output=True)
+        y, info = mospd(example_problem, x0, 1, cfg)
         assert info["status"] == "converged"
         assert info["xy_gap"] <= 1e-3
         assert np.linalg.norm(info["x_unprojected"] - y) <= 1e-3
@@ -178,19 +178,19 @@ class TestMospd:
     def test_large_tau0_binds_to_start(self, example_problem):
         cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=100.0))
         x0 = project_sparse(np.array([2.0, 2.0]), 1)  # -> (2, 0)
-        y = mospd(example_problem, x0, 1, cfg)
+        y, _ = mospd(example_problem, x0, 1, cfg)
         axis_projections = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
         assert min(np.linalg.norm(y - a) for a in axis_projections) <= 0.5
 
     def test_small_tau0_reaches_subspace_stationarity(self, example_problem):
         cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=1.0))
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
-        y = mospd(example_problem, x0, 1, cfg)
+        y, _ = mospd(example_problem, x0, 1, cfg)
         _, J = assign_super_support(example_problem, y, 1)
         assert theta_subspace(example_problem, y, J).theta >= -1e-4
 
     def test_infeasible_start_rejected(self, example_problem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzeros is infeasible"):
             mospd(example_problem, np.array([1.0, 1.0]), 1, SolverConfig(L=1.01))
 
 
@@ -198,7 +198,7 @@ class TestMohyb:
     def test_l_stationary_when_converged(self, example_problem):
         cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=1.0))
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
-        x, info = mohyb(example_problem, x0, 1, cfg, full_output=True)
+        x, info = mohyb(example_problem, x0, 1, cfg)
         assert info["status"] == "converged"
         assert is_L_stationary(example_problem, x, 1, 1.01, 1e-7)
         assert np.count_nonzero(x) <= 1  # lands on an axis
@@ -206,7 +206,7 @@ class TestMohyb:
     def test_large_tau0_still_l_stationary(self, example_problem):
         cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=100.0))
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
-        x = mohyb(example_problem, x0, 1, cfg)
+        x, _ = mohyb(example_problem, x0, 1, cfg)
         assert is_L_stationary(example_problem, x, 1, 1.01, 1e-7)
 
 
