@@ -151,7 +151,7 @@ def dominates(u, v):
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != v.shape[-1:]:
         raise ValueError(f"objective vectors differ in length: {u.shape} vs {v.shape}")
-    out = np.all(u <= v, axis=-1) & np.any(u < v, axis=-1)
+    out = (u <= v).all(axis=-1) & (u < v).any(axis=-1)
     return bool(out) if out.ndim == 0 else out
 
 

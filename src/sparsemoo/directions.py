@@ -236,20 +236,25 @@ def theta_subspace(p, x, J, I=None) -> DirectionSolution:
     """
     x = np.asarray(x, dtype=float)
     J = _as_support(J, p.n)
-    if I is None:
-        I = range(p.m)
-    I = sorted(set(int(j) for j in I))
-    if not I:
-        raise ValueError("objective subset I must be nonempty")
-    if any(not 0 <= j < p.m for j in I):
-        raise ValueError(f"objective indices out of range [0, {p.m})")
+    if I is not None:
+        I = sorted(set(int(j) for j in I))
+        if not I:
+            raise ValueError("objective subset I must be nonempty")
+        if any(not 0 <= j < p.m for j in I):
+            raise ValueError(f"objective indices out of range [0, {p.m})")
     return _subspace_direction(np.asarray(p.gradient(x), dtype=float), I, J.as_array())
 
 
 def _subspace_direction(grads, I, cols) -> DirectionSolution:
-    """``theta_subspace`` on already evaluated gradients (objectives ``I``, columns ``cols``)."""
-    G = grads[np.ix_(I, cols)].T  # (|J|, |I|)
-    sol = solve_simplex_qp(G, b=None, L=1.0)
+    """``theta_subspace`` on already evaluated gradients (objectives ``I``, columns ``cols``).
+
+    ``I = None`` (every objective) gathers with ``take``, whose C-ordered
+    copy transposes to the same layout, and so the same BLAS path and the
+    same bits, as the ``np.ix_`` gather over all rows; ``grads[:, cols]``
+    would not.
+    """
+    rows = grads.take(cols, axis=1) if I is None else grads[np.ix_(I, cols)]
+    sol = solve_simplex_qp(rows.T, b=None, L=1.0)  # (|J|, |I|) columns
     d_full = np.zeros(grads.shape[1])
     d_full[cols] = sol.d
     # d = 0 is feasible with zero offsets, so the true value is <= 0; any
@@ -271,7 +276,7 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
     # theta_L's search at the origin (no offsets), L = 1, support of x forced in
     best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x),
                            lambda K: np.zeros((p.m, K.shape[0])))
-    sol = _subspace_direction(grads, range(p.m), best_J.as_array())
+    sol = _subspace_direction(grads, None, best_J.as_array())
     return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
 
 

@@ -65,7 +65,7 @@ class QuadraticInstance:
             ])
 
         def grad(x):
-            return np.stack([Q1 @ x - c1, Q2 @ x - c2])
+            return np.array([Q1 @ x - c1, Q2 @ x - c2])
 
         return MultiObjectiveProblem(
             n=self.n, m=2, evaluate=ev, gradient=grad,
@@ -122,7 +122,7 @@ def example_biobjective() -> MultiObjectiveProblem:
         ])
 
     def grad(x):
-        return np.stack([x - a1, x - a2])
+        return np.array([x - a1, x - a2])
 
     return MultiObjectiveProblem(n=2, m=2, evaluate=ev, gradient=grad,
                                  lipschitz=np.array([1.0, 1.0]))
@@ -167,15 +167,16 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
 
     def ev(w):
         margins = t * (R @ w)
+        # the sum and division np.mean performs, without its dispatch
         return np.array([
-            float(np.mean(np.logaddexp(0.0, -margins))),
+            float(np.logaddexp(0.0, -margins).sum() / N),
             0.5 * float(w @ w),
         ])
 
     def grad(w):
         margins = t * (R @ w)
         g1 = -(R.T @ (t * expit(-margins))) / N
-        return np.stack([g1, w])
+        return np.array([g1, w])
 
     return MultiObjectiveProblem(n=n, m=2, evaluate=ev, gradient=grad,
                                  lipschitz=np.array([L1, 1.0]))

@@ -54,7 +54,12 @@ STRATEGIES = ("moiht", "mospd", "mohyb", "scalarized")
 @dataclass(frozen=True, eq=False)
 class ArchiveEntry:
     """One archive row: a point, its super support key both stored immutably,
-    and the cached objective vector."""
+    and the cached objective vector.
+
+    ``fvals`` must be ``p.evaluate(x)`` itself, not a recomputation that may
+    round differently: the common descent step hands it to Armijo as
+    ``f(x)`` instead of evaluating the objectives again.
+    """
 
     x: np.ndarray
     J: SupportSet
@@ -338,8 +343,8 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
         scale = None
 
     def accept(a, fc):
-        return np.all(np.any(fc < mate_F, axis=1)) and (
-            scale is None or not np.any(np.all(np.abs(fc - mate_F) / scale <= spacing, axis=1)))
+        return (fc < mate_F).any(axis=1).all() and (
+            scale is None or not (np.abs(fc - mate_F) / scale <= spacing).all(axis=1).any())
 
     return backtrack(p, z_entry.x, d, cfg, accept)
 
@@ -397,7 +402,7 @@ def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfi
     sol = theta_subspace(p, entry.x, entry.J)
     alpha = 0.0
     if sol.theta < -THETA_TOL:
-        alpha = armijo_common(p, entry.x, sol.d, sol.theta, None, cfg)
+        alpha = armijo_common(p, entry.x, sol.d, sol.theta, None, cfg, fx=entry.fvals)
     if alpha > 0.0:
         z = entry.x + alpha * sol.d
         fz = np.asarray(p.evaluate(z), dtype=float)

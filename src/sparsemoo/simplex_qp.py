@@ -18,6 +18,7 @@ the style of Wolfe's nearest-point algorithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,11 @@ class DirectionSolution:
 
 
 def _primal_value(G, b, L, d):
-    return float(np.max(G.T @ d + b) + 0.5 * L * float(d @ d))
+    return float((G.T @ d + b).max() + 0.5 * L * float(d @ d))
 
 
-def _dual_value(G, b, lam, L):
-    Gl = G @ lam
+def _dual_value(Gl, b, lam, L):
+    # q(lam) from the product Gl = G @ lam the direction is built from
     return float(Gl @ Gl) / (2.0 * L) - float(b @ lam)
 
 
@@ -125,11 +126,15 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
         One column per objective: the gradients restricted to the free
         coordinates (``k`` may be 0 when every coordinate is fixed).
     b : (m,) array, optional
-        Affine offsets from the fixed coordinates; defaults to zero.
+        Affine offsets from the fixed coordinates; defaults to zero.  A
+        given ``b`` is checked for shape and finiteness.
     L : float
         Curvature of the quadratic term, strictly positive.
 
-    The dual is solved exactly: in closed form for m <= 2 and by a finite
+    When ``G`` is all zero, ``d = 0``, ``theta = max b`` and ``lam`` is
+    uniform over the indices attaining ``max b`` (uniform over all of them
+    when ``b`` is constant), which is dual optimal.  Otherwise the dual is
+    solved exactly: in closed form for m <= 2 and by a finite
     active-set method for m >= 3.  The latter stops at a face optimum where
     no other weight has a reduced gradient below ``-1e-13 * (max|H| +
     max|b|)``, ``H = G^T G / L``, which bounds the Frank-Wolfe gap of the
@@ -140,19 +145,26 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
     if G.ndim != 2:
         raise ValueError("G must be a (k, m) matrix of gradient columns")
     m = G.shape[1]
-    b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ValueError(f"b must have shape ({m},), got {b.shape}")
+    if b is None:
+        b = np.zeros(m)  # finite by construction: only G and L are scanned
+    else:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
+            raise ValueError(f"b must have shape ({m},), got {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("non-finite inputs to the direction subproblem")
     if m < 1:
         raise ValueError("need at least one objective column")
-    if not np.isfinite(G).all() or not np.isfinite(b).all() or not np.isfinite(L):
+    if not np.isfinite(G).all() or not math.isfinite(L):
         raise ValueError("non-finite inputs to the direction subproblem")
     if L <= 0:
         raise ValueError(f"curvature L must be positive, got {L}")
 
     if not G.any():
-        # Degenerate all-zero gradients: d = 0 is optimal for any weights.
-        lam = np.full(m, 1.0 / m)
+        # Degenerate all-zero gradients: d = 0 and q(lam) = -b^T lam, so the
+        # dual optimum spreads its weight evenly over the largest offsets.
+        top = b == b.max()
+        lam = top / top.sum()
         d = np.zeros(G.shape[0])
         return DirectionSolution(d=d, lam=lam, theta=float(b.max()))
 
@@ -163,13 +175,14 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
     else:
         lam = _solve_active_set((G.T @ G) / L, b)
 
-    d = -(G @ lam) / L
+    Gl = G @ lam
+    d = -Gl / L
     theta = _primal_value(G, b, L, d)
     if __debug__:
         # Weak duality sandwich; equality certifies global optimality.  Rounding
         # in either value grows with max|H| + max|b|, so a gap within _TOL of
         # that scale passes too (its scale is computed only when needed).
-        gap = theta + _dual_value(G, b, lam, L)
+        gap = theta + _dual_value(Gl, b, lam, L)
         assert gap <= 1e-7 * max(1.0, abs(theta)) or gap <= _TOL * (
             np.abs(G.T @ G).max() / L + np.abs(b).max()), f"duality gap {gap}"
     return DirectionSolution(d=d, lam=lam, theta=theta)

@@ -160,21 +160,40 @@ def backtrack(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, cfg: Solve
     return 0.0, None, None
 
 
-def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
-                  theta: float, I: Iterable[int] | None, cfg: SolverConfig) -> float:
-    """Largest step ``alpha0 * delta^h`` with sufficient decrease on every
+def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: float,
+                I: Iterable[int] | None, cfg: SolverConfig, fx: np.ndarray | None = None):
+    """First step ``a = alpha0 * delta^h`` with sufficient decrease on every
     objective in ``I``: ``f_j(x + a d) <= f_j(x) + gamma * a * theta``.
 
-    ``theta`` must be negative (a descent certificate); returns 0.0 if no
-    step up to ``h = MAX_HALVINGS`` qualifies.  ``I = None`` means every
-    objective.
+    ``theta`` must be negative (a descent certificate).  ``fx`` is ``f(x)``
+    when the caller already holds it, an ``(m,)`` array; ``None`` evaluates
+    it here.  ``I = None`` means every objective.  Returns ``(a, x + a d,
+    f(x + a d))`` as :func:`backtrack` does, ``(0.0, None, None)`` if no step
+    up to ``h = MAX_HALVINGS`` qualifies.
     """
     if theta >= 0:
-        raise ValueError("armijo_common needs a strictly negative theta")
-    idx = list(range(p.m)) if I is None else sorted(set(int(j) for j in I))
-    fx = np.asarray(p.evaluate(x), dtype=float)[idx]
-    gamma = cfg.armijo.gamma
-    return backtrack(p, x, d, cfg, lambda a, fc: np.all(fc[idx] <= fx + gamma * a * theta))[0]
+        raise ValueError("the Armijo search needs a strictly negative theta")
+    if fx is None:
+        fx = np.asarray(p.evaluate(x), dtype=float)
+    else:
+        fx = np.asarray(fx, dtype=float)
+        if fx.shape != (p.m,):
+            raise ValueError(f"fx must have shape ({p.m},), got {fx.shape}")
+    idx = slice(None) if I is None else sorted(set(int(j) for j in I))
+    fx, gamma = fx[idx], cfg.armijo.gamma
+    return backtrack(p, x, d, cfg, lambda a, fc: (fc[idx] <= fx + gamma * a * theta).all())
+
+
+def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
+                  theta: float, I: Iterable[int] | None, cfg: SolverConfig, *,
+                  fx: np.ndarray | None = None) -> float:
+    """Largest step ``alpha0 * delta^h`` with sufficient decrease on every
+    objective in ``I``: the step of :func:`armijo_step`, same arguments and
+    checks, or 0.0 if none qualifies.  A caller that holds ``f(x)`` passes it
+    as ``fx`` (shape ``(m,)``, else ``ValueError``) and it is not evaluated
+    again.
+    """
+    return armijo_step(p, x, d, theta, I, cfg, fx)[0]
 
 
 def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
@@ -184,20 +203,23 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
     Iterates Armijo steps along the ``theta_subspace`` direction until the
     subspace measure exceeds ``-eps`` or the budget runs out.  Coordinates
     off ``J`` are never touched, so zeros there stay bit-exact zeros.
+    ``f(x0)`` is evaluated by the first line search only; after that each
+    search starts from the values of the step it accepted last, so the
+    objectives are evaluated once at ``x0`` plus once per trial step.
     """
     x0 = np.asarray(x0, dtype=float)
     J = J if isinstance(J, SupportSet) else SupportSet.from_iterable(J, p.n)
     if not J.contains_support_of(x0):
         raise ValueError("start point has nonzeros outside the fixed support")
-    x = x0.copy()
+    x, fx = x0.copy(), None
     for _ in range(cfg.max_iter):
         sol = theta_subspace(p, x, J)
         if sol.theta > -eps:
             break
-        alpha = armijo_common(p, x, sol.d, sol.theta, None, cfg)
+        alpha, x_new, f_new = armijo_step(p, x, sol.d, sol.theta, None, cfg, fx)
         if alpha == 0.0:
             break  # line search stalled; cannot certify further progress
-        x = x + alpha * sol.d
+        x, fx = x_new, f_new
     return x
 
 

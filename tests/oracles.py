@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's solver paths: dual problems are
 minimized on a dense weight grid, sparse subproblems by explicit support
-enumeration, gradients by central differences, areas by Monte Carlo.
+enumeration, gradients by central differences, areas by Monte Carlo.  The
+plain references at the end restate a hot loop or oracle in its direct form,
+so that the library's leaner version can be held to the same bytes.
 """
 
 import itertools
@@ -10,7 +12,8 @@ import math
 
 import numpy as np
 
-from sparsemoo import project_sparse
+from sparsemoo import project_sparse, theta_subspace
+from sparsemoo.solvers import MAX_HALVINGS
 
 
 def grid_theta_m2(G, b=None, L=1.0, step=1e-4):
@@ -171,3 +174,36 @@ def iht_trajectory(p, x0, s, L, eps, max_iter=10_000):
         x = z
         traj.append(x.copy())
     return traj
+
+
+def reference_mosd(p, x0, J, eps, cfg):
+    """Steepest common descent on ``J`` as a plain loop.
+
+    Every Armijo search evaluates ``f(x)`` afresh before trying the steps
+    ``alpha0 * delta^h``, h = 0..MAX_HALVINGS; stops when the subspace
+    measure exceeds ``-eps``, a search fails or ``cfg.max_iter`` runs out.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    arm = cfg.armijo
+    for _ in range(cfg.max_iter):
+        sol = theta_subspace(p, x, J)
+        if sol.theta > -eps:
+            break
+        fx = np.asarray(p.evaluate(x), dtype=float)
+        a, alpha = arm.alpha0, 0.0
+        for _ in range(MAX_HALVINGS + 1):
+            fc = np.asarray(p.evaluate(x + a * sol.d), dtype=float)
+            if np.all(fc <= fx + arm.gamma * a * sol.theta):
+                alpha = a
+                break
+            a *= arm.delta
+        if alpha == 0.0:
+            break
+        x = x + alpha * sol.d
+    return x
+
+
+def reference_logistic_values(R, t, w):
+    """Mean logistic loss (through ``np.mean``) and ``0.5 ||w||^2``."""
+    margins = t * (R @ w)
+    return np.array([float(np.mean(np.logaddexp(0.0, -margins))), 0.5 * float(w @ w)])

@@ -65,6 +65,26 @@ class TestThetaSubspace:
         sol = theta_subspace(example_problem, x, SupportSet((1,), 2), I=[0])
         assert sol.theta == pytest.approx(-0.5 * (1.0 - 2.5) ** 2, abs=1e-12)
 
+    def test_all_objectives_match_the_explicit_subset_bytes(self, quadratic_factory):
+        # I = None gathers the columns with take, I = range(m) with np.ix_;
+        # both give a C-ordered block, so the transposed matrix the QP gets
+        # has one layout and every BLAS product rounds the same way
+        rng = np.random.default_rng(11)
+        problems = [quadratic_factory(n=10, kappa=kappa, seed=i)
+                    for i, kappa in enumerate((1.0, 10.0, 100.0))]
+        problems += [conditioned_problem(8, m, 10.0, m) for m in (1, 3, 4)]
+        for p in problems:
+            for _ in range(40):
+                size = int(rng.integers(1, p.n + 1))
+                J = SupportSet.from_iterable(rng.choice(p.n, size, replace=False), p.n)
+                x = np.zeros(p.n)
+                x[list(J.indices)] = rng.uniform(-2.0, 2.0, size)
+                every = theta_subspace(p, x, J)
+                listed = theta_subspace(p, x, J, I=range(p.m))
+                assert every.d.tobytes() == listed.d.tobytes()
+                assert every.lam.tobytes() == listed.lam.tobytes()
+                assert np.float64(every.theta).tobytes() == np.float64(listed.theta).tobytes()
+
 
 class TestThetaFeasible:
     def test_stationary_full_support(self, example_problem):

@@ -15,7 +15,7 @@ from sparsemoo import (
 )
 from sparsemoo.problems import _power_spectral_norm
 
-from oracles import fd_gradient
+from oracles import fd_gradient, reference_logistic_values
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -129,6 +129,34 @@ class TestLogistic:
             p = logistic_problem(R, t)
             oracle = np.linalg.eigvalsh(R.T @ R).max() / shape[0]
             assert p.lipschitz[0] == pytest.approx(oracle, abs=1e-6)
+
+    def test_loss_matches_the_mean_formula_bytes(self):
+        # sum / N is the pairwise add.reduce and the one division np.mean does
+        rng = np.random.default_rng(12)
+        cases = [load_dataset(DATA_DIR / "synth_margin_b.csv", "y")]
+        with pytest.warns(UserWarning, match="dropped 3 rows"):
+            cases.append(load_dataset(DATA_DIR / "synth_screen_a.csv", "y"))
+        for N in (150, 337, 1000):
+            cases.append((rng.normal(size=(N, 7)), np.where(rng.random(N) > 0.5, 1.0, -1.0)))
+        for R, t in cases:
+            p = logistic_problem(R, t)
+            for _ in range(40):
+                w = rng.normal(size=R.shape[1]) * rng.uniform(0.01, 5.0)
+                assert p.evaluate(w).tobytes() == reference_logistic_values(R, t, w).tobytes()
+
+    def test_gradient_rows_match_stacked_bytes(self):
+        # the (2, n) gradient is one C-ordered block of the two rows
+        rng = np.random.default_rng(13)
+        R = rng.normal(size=(50, 6))
+        logit = logistic_problem(R, np.where(rng.random(50) > 0.5, 1.0, -1.0))
+        inst = generate_quadratic(6, 10.0, 2)
+        for _ in range(10):
+            w = rng.normal(size=6)
+            g = logit.gradient(w)
+            assert g.flags.c_contiguous and g[1].tobytes() == w.tobytes()
+            g = inst.problem().gradient(w)
+            stacked = np.stack([inst.Q1 @ w - inst.c1, inst.Q2 @ w - inst.c2])
+            assert g.flags.c_contiguous and g.tobytes() == stacked.tobytes()
 
     def test_power_iteration_zero_matrix(self):
         assert _power_spectral_norm(np.zeros((3, 2))) == 0.0

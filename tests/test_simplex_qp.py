@@ -130,10 +130,25 @@ class TestSolutionInvariants:
 
 class TestEdgeCases:
     def test_degenerate_zero_matrix(self):
-        sol = solve_simplex_qp(np.zeros((3, 4)), np.array([1.0, 3.0, 2.0, -1.0]), 2.0)
+        # with G = 0 the dual is max_lam b^T lam: all weight on argmax b
+        b = np.array([1.0, 3.0, 2.0, -1.0])
+        sol = solve_simplex_qp(np.zeros((3, 4)), b, 2.0)
         np.testing.assert_array_equal(sol.d, np.zeros(3))
-        np.testing.assert_allclose(sol.lam, np.full(4, 0.25))
+        np.testing.assert_array_equal(sol.lam, [0.0, 1.0, 0.0, 0.0])
         assert sol.theta == 3.0
+        assert float(b @ sol.lam) == sol.theta  # -q(lam) = theta: dual optimal
+
+    def test_degenerate_zero_matrix_ties(self):
+        # ties in max b share the weight; constant b keeps uniform weights
+        sol = solve_simplex_qp(np.zeros((2, 3)), np.array([2.0, 0.0, 2.0]))
+        np.testing.assert_array_equal(sol.lam, [0.5, 0.0, 0.5])
+        assert sol.theta == 2.0
+        sol = solve_simplex_qp(np.zeros((2, 3)))
+        assert sol.lam.tobytes() == np.full(3, 1.0 / 3.0).tobytes()
+        assert sol.theta == 0.0
+        sol = solve_simplex_qp(np.zeros((3, 2)), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(sol.lam, [1.0, 0.0])
+        assert sol.theta == 1.0
 
     def test_large_rank_one_gradients(self):
         # |H| ~ 1.6e8 with the optimum on a 2-face where G lambda ~ 0: a
@@ -167,3 +182,9 @@ class TestEdgeCases:
             solve_simplex_qp(np.ones((2, 1)), np.array([np.inf]))
         with pytest.raises(ValueError):
             solve_simplex_qp(np.ones((2, 1)), None, -1.0)
+        with pytest.raises(ValueError):
+            solve_simplex_qp(np.ones((2, 1)), None, np.inf)
+        with pytest.raises(ValueError):
+            solve_simplex_qp(np.ones((2, 2)), np.array([0.0, np.nan]), 1.0)
+        with pytest.raises(ValueError):
+            solve_simplex_qp(np.ones((2, 2)), np.zeros(3), 1.0)

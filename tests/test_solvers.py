@@ -11,7 +11,9 @@ from sparsemoo import (
     armijo_common,
     default_config,
     default_lambda_grid,
+    generate_quadratic,
     is_L_stationary,
+    logistic_problem,
     mohyb,
     moiht,
     mosd,
@@ -23,9 +25,41 @@ from sparsemoo import (
     theta_subspace,
 )
 from sparsemoo.sfsd import assign_super_support
+from sparsemoo.solvers import _penalized
 
 from conftest import single_objective_quadratic
-from oracles import iht_trajectory
+from oracles import iht_trajectory, reference_mosd
+
+
+def recording(p):
+    """``p`` whose ``evaluate`` logs the bytes of every point it is called at."""
+    seen = []
+
+    def ev(x):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return p.evaluate(x)
+
+    return replace(p, evaluate=ev), seen
+
+
+def random_descent_cases(seed, count=8):
+    """``(problem, x0, J)`` triples: quadratic, penalized and logistic problems,
+    each started away from subspace stationarity."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(60, 6))
+    t = np.where(rng.random(60) > 0.5, 1.0, -1.0)
+    logit = logistic_problem(R, t)
+    cases = []
+    for i in range(count):
+        quad = generate_quadratic(6, float(rng.choice([1.0, 10.0, 100.0])), i).problem()
+        pen = _penalized(quad, rng.uniform(-1.0, 1.0, 6), float(rng.uniform(0.5, 5.0)))
+        for p in (quad, pen, logit):
+            size = int(rng.integers(2, 7))
+            J = SupportSet.from_iterable(rng.choice(6, size, replace=False), 6)
+            x0 = np.zeros(6)
+            x0[list(J.indices)] = rng.uniform(-2.0, 2.0, size)
+            cases.append((p, x0, J))
+    return cases
 
 
 class TestMoiht:
@@ -129,7 +163,77 @@ class TestArmijo:
         assert alpha == 0.0
 
 
+class TestArmijoKnownValues:
+    """``fx`` hands Armijo the ``f(x)`` its caller already holds."""
+
+    def cases(self):
+        for p, x, J in random_descent_cases(21):
+            sol = theta_subspace(p, x, J)
+            if sol.theta < -1e-10:
+                yield p, x, sol
+
+    def test_same_step_with_and_without_fx(self):
+        count = 0
+        for p, x, sol in self.cases():
+            cfg = default_config(p)
+            for I in (None, [0], [1], [1, 0]):
+                plain = armijo_common(p, x, sol.d, sol.theta, I, cfg)
+                known = armijo_common(p, x, sol.d, sol.theta, I, cfg, fx=p.evaluate(x))
+                assert np.float64(known).tobytes() == np.float64(plain).tobytes()
+            count += 1
+        assert count >= 12
+
+    def test_known_fx_is_not_evaluated_again(self):
+        for p, x, sol in self.cases():
+            cfg = default_config(p)
+            rp, seen = recording(p)
+            armijo_common(rp, x, sol.d, sol.theta, None, cfg)
+            plain = list(seen)
+            seen.clear()
+            armijo_common(rp, x, sol.d, sol.theta, None, cfg, fx=p.evaluate(x))
+            # the plain search evaluates f(x) first, then the same trials
+            assert plain[0] == x.tobytes()
+            assert seen == plain[1:]
+            assert x.tobytes() not in seen
+
+    def test_fx_of_the_wrong_shape_rejected(self, example_problem):
+        cfg = SolverConfig(L=1.0)
+        x, d = np.array([0.0, 0.5]), np.array([1.0, 0.0])
+        for fx in (np.zeros(3), np.zeros((2, 1)), np.zeros(1), 0.0):
+            with pytest.raises(ValueError, match="fx"):
+                armijo_common(example_problem, x, d, -0.5, None, cfg, fx=fx)
+
+    def test_fx_is_keyword_only(self, example_problem):
+        cfg = SolverConfig(L=1.0)
+        with pytest.raises(TypeError):
+            armijo_common(example_problem, np.zeros(2), np.ones(2), -0.5, None, cfg, np.zeros(2))
+
+
 class TestMosd:
+    def test_matches_the_plain_loop_bytes(self):
+        for p, x0, J in random_descent_cases(22):
+            cfg = replace(default_config(p), max_iter=300)
+            for eps in (1e-4, 1e-7):
+                out = mosd(p, x0, J, eps, cfg)
+                assert out.tobytes() == reference_mosd(p, x0, J, eps, cfg).tobytes()
+
+    def test_evaluates_once_at_x0_plus_once_per_trial(self):
+        searches, cases = 0, random_descent_cases(23)
+        for p, x0, J in cases:
+            cfg = replace(default_config(p), max_iter=300)
+            rp, seen = recording(p)
+            mosd(rp, x0, J, 1e-7, cfg)
+            lean = list(seen)
+            seen.clear()
+            reference_mosd(rp, x0, J, 1e-7, cfg)
+            # the plain loop re-evaluates each accepted trial point as f(x)
+            # of the next search, right after the trial itself
+            trials = [pt for i, pt in enumerate(seen) if i == 0 or pt != seen[i - 1]]
+            assert lean[0] == x0.tobytes()
+            assert lean == trials
+            searches += len(seen) - len(lean) + 1
+        assert searches > 3 * len(cases)
+
     def test_stationary_start_unchanged(self, example_problem):
         cfg = SolverConfig(L=1.0)
         x = mosd(example_problem, np.array([2.0, 0.0]), SupportSet((0,), 2), 1e-7, cfg)
