@@ -32,6 +32,8 @@ from .metrics import (
 )
 from .problems import (
     DataError,
+    check_instance_entry,
+    check_number,
     generate_quadratic,
     load_dataset,
     load_instance,
@@ -67,6 +69,9 @@ class EmptyResultError(RuntimeError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
     # usage errors must exit with code 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -132,6 +137,21 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _instance_name(entry):
+    """File name of a manifest-style instance entry."""
+    if entry.get("type") == "example4":
+        return f"example4_s{entry['s']}.json"
+    return f"quad_n{entry['n']}_k{entry['kappa']:g}_s{entry['s']}_seed{entry['seed']}.json"
+
+
+def _save_entry(path, entry):
+    """Write the instance a checked manifest-style entry describes."""
+    inst = ("example4" if entry.get("type") == "example4"
+            else generate_quadratic(entry["n"], entry["kappa"], entry["seed"]))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_instance(path, inst, entry["s"])
+
+
 # ---------------------------------------------------------------------------
 # problem loading
 
@@ -176,6 +196,8 @@ def _deadlines(wallclock):
     """(phase-one, phase-two) monotonic deadlines splitting ``wallclock``."""
     if wallclock is None:
         return None, None
+    if not (math.isfinite(wallclock) and wallclock > 0):
+        raise ValueError(f"--wallclock must be a positive number of seconds, got {wallclock}")
     now = time.monotonic()
     return now + wallclock / 2.0, now + wallclock
 
@@ -197,10 +219,28 @@ def _run_front(problem, info, strategy, n_starts, seed, cfg, budget,
     final = sfsd_run(problem, archive, info["s"], cfg, budget,
                      deadline=deadline_run, **sfsd_options)
     rows = [(e.fvals, e.x, e.J) for e in final.entries()]
+    return final, _nondominated(rows, "front descent produced no points")
+
+
+def _nondominated(rows, empty):
+    """The (fvals, x, J) rows no other row dominates; raises
+    :class:`EmptyResultError` with message ``empty`` when none are left."""
     keep = filter_nondominated(np.array([r[0] for r in rows]))
     if keep.size == 0:
-        raise EmptyResultError("front descent produced no points")
-    return final, [rows[i] for i in keep]
+        raise EmptyResultError(empty)
+    return [rows[i] for i in keep]
+
+
+def _write_front(args, problem, info, cfg, rows, **extras):
+    """Front CSV, its ``.meta.json`` (shared keys plus ``extras``) and the summary line."""
+    write_front_csv(args.out, rows, problem.n, problem.m)
+    _write_json(f"{args.out}.meta.json", {
+        "command": args.command, "strategy": args.strategy, "seed": args.seed,
+        "n_starts": args.n_starts, "s": info["s"], "L": cfg.L, "eps": cfg.eps,
+        "wallclock": args.wallclock, "instance": info, **extras,
+    })
+    print(f"wrote {args.out} ({len(rows)} nondominated points)")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +252,28 @@ def cmd_generate(args) -> int:
         if not args.out_dir:
             raise ValueError("--out-dir is required with --benchmark-grid")
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         seeds = [int(v) for v in args.seeds.split(",")]
-        count = 0
-        for n, s_choices in BENCHMARK_GRID.items():
-            for kappa in BENCHMARK_KAPPAS:
-                for s in s_choices:
-                    for seed in seeds:
-                        inst = generate_quadratic(n, kappa, seed)
-                        name = f"quad_n{n}_k{int(kappa)}_s{s}_seed{seed}.json"
-                        save_instance(out_dir / name, inst, s)
-                        count += 1
-        print(f"wrote {count} instances to {out_dir}")
-        return EXIT_OK
-    if args.example4:
+        entries = [{"n": n, "kappa": kappa, "s": s, "seed": seed}
+                   for n, s_choices in BENCHMARK_GRID.items() for kappa in BENCHMARK_KAPPAS
+                   for s in s_choices for seed in seeds]
+        jobs = [(out_dir / _instance_name(entry), entry) for entry in entries]
+    else:
+        if args.example4:
+            entry = {"type": "example4", "s": 1 if args.s is None else args.s}
+        else:
+            for name in ("n", "kappa", "s"):
+                if getattr(args, name) is None:
+                    raise ValueError(f"--{name} is required")
+            entry = {"n": args.n, "kappa": args.kappa, "s": args.s, "seed": args.seed}
         if not args.out:
             raise ValueError("--out is required")
-        save_instance(args.out, "example4", args.s if args.s is not None else 1)
-        print(f"wrote {args.out}")
-        return EXIT_OK
-    for name in ("n", "kappa", "s", "out"):
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name} is required")
-    inst = generate_quadratic(args.n, args.kappa, args.seed)
-    save_instance(args.out, inst, args.s)
-    print(f"wrote {args.out}")
+        jobs = [(Path(args.out), entry)]
+    for path, entry in jobs:  # every entry is checked before any file is written
+        check_instance_entry(entry, f"{path}:")
+    for path, entry in jobs:
+        _save_entry(path, entry)
+    print(f"wrote {len(jobs)} instances to {out_dir}" if args.benchmark_grid
+          else f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -264,28 +301,10 @@ def cmd_solve(args) -> int:
             continue
         sup = tuple(int(i) for i in support(x))
         rows.append((fv, x, SupportSet(sup, problem.n)))
-    if not rows:
-        raise EmptyResultError("no finite solver outputs to report")
-    keep = filter_nondominated(np.array([r[0] for r in rows]))
-    rows = [rows[i] for i in keep]
-    write_front_csv(args.out, rows, problem.n, problem.m)
-    _write_json(f"{args.out}.meta.json", {
-        "command": "solve",
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "n_starts": args.n_starts,
-        "s": s,
-        "L": cfg.L,
-        "eps": cfg.eps,
-        "max_iter": cfg.max_iter,
-        "tau0": cfg.penalty.tau0,
-        "iteration_counts": iteration_counts,
-        "points": len(rows),
-        "wallclock": args.wallclock,
-        "instance": info,
-    })
-    print(f"wrote {args.out} ({len(rows)} nondominated points)")
-    return EXIT_OK
+    rows = _nondominated(rows, "no finite solver outputs to report")
+    return _write_front(args, problem, info, cfg, rows, max_iter=cfg.max_iter,
+                        tau0=cfg.penalty.tau0, iteration_counts=iteration_counts,
+                        points=len(rows))
 
 
 def cmd_front(args) -> int:
@@ -295,25 +314,9 @@ def cmd_front(args) -> int:
         problem, info, args.strategy, args.n_starts, args.seed, cfg, args.budget,
         args.wallclock, crowding=args.crowding, explore_spacing=args.explore_spacing,
     )
-    write_front_csv(args.out, rows, problem.n, problem.m)
-    _write_json(f"{args.out}.meta.json", {
-        "command": "front",
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "n_starts": args.n_starts,
-        "s": info["s"],
-        "budget": args.budget,
-        "crowding": args.crowding,
-        "explore_spacing": args.explore_spacing,
-        "L": cfg.L,
-        "eps": cfg.eps,
-        "archive_points": len(final),
-        "front_points": len(rows),
-        "wallclock": args.wallclock,
-        "instance": info,
-    })
-    print(f"wrote {args.out} ({len(rows)} nondominated points)")
-    return EXIT_OK
+    return _write_front(args, problem, info, cfg, rows, budget=args.budget,
+                        crowding=args.crowding, explore_spacing=args.explore_spacing,
+                        archive_points=len(final), front_points=len(rows))
 
 
 def _parse_named_fronts(items):
@@ -331,24 +334,21 @@ def _write_metrics_table(path, named, reference, spread=None):
     """One metrics row per (name, front) pair, measured against ``reference``.
 
     ``spread`` optionally gives (fronts, reference) in rescaled coordinates
-    for the two spread metrics.  Returns the hypervolume reference point.
+    for the two spread metrics.  Returns the hypervolume reference point and
+    the rows as ``(name, values in METRICS order)``.
     """
     ref_point = hypervolume_reference_point(reference)
     spread_fronts, spread_ref = spread or ([F for _, F in named], reference)
+    rows = [(name, [purity(F, reference), gamma_spread(Fs, spread_ref),
+                    delta_spread(Fs, spread_ref), hypervolume_2d(F, ref_point)])
+            for (name, F), Fs in zip(named, spread_fronts)]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["solver"] + [metric for metric, _ in METRICS])
-        for (name, F), Fs in zip(named, spread_fronts):
-            writer.writerow([
-                name,
-                repr(purity(F, reference)),
-                repr(gamma_spread(Fs, spread_ref)),
-                repr(delta_spread(Fs, spread_ref)),
-                repr(hypervolume_2d(F, ref_point)),
-            ])
-    return ref_point
+        writer.writerows([name] + [repr(v) for v in values] for name, values in rows)
+    return ref_point, rows
 
 
 def cmd_metrics(args) -> int:
@@ -368,7 +368,7 @@ def cmd_metrics(args) -> int:
     if args.logistic_scaling:
         rescaled = rescale_logistic_objectives(fronts + [reference])
         spread = (rescaled[:-1], rescaled[-1])
-    ref_point = _write_metrics_table(args.out, named, reference, spread)
+    ref_point, _ = _write_metrics_table(args.out, named, reference, spread)
     _write_json(f"{args.out}.meta.json", {
         "command": "metrics",
         "reference": args.reference,
@@ -381,24 +381,23 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _write_profiles(metrics_csvs, out_dir):
-    """Per-metric profile CSVs over metric tables, one per problem; bad tables raise DataError."""
-    tables = {}
-    for path in metrics_csvs:
-        with Path(path).open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in ["solver"] + [metric for metric, _ in METRICS]
-                       if c not in (reader.fieldnames or [])]
-            if missing:
-                raise DataError(f"{path}: metrics CSV lacks column(s) {', '.join(missing)}")
-            try:  # each row as (solver, values in METRICS order)
-                tables[Path(path).stem] = [
-                    (row["solver"], [float(row[metric]) for metric, _ in METRICS])
+def _read_metrics_csv(path):
+    """A metrics table's rows as ``(solver, values in METRICS order)``; bad tables raise DataError."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ["solver"] + [metric for metric, _ in METRICS]
+                   if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataError(f"{path}: metrics CSV lacks column(s) {', '.join(missing)}")
+        try:
+            return [(row["solver"], [float(row[metric]) for metric, _ in METRICS])
                     for row in reader]
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    if not tables:
-        raise ValueError("at least one --metrics-csv is required")
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _write_profiles(tables, out_dir):
+    """Per-metric profile CSVs over ``{problem: metric table rows}``."""
     solvers = sorted({solver for rows in tables.values() for solver, _ in rows})
     problems = sorted(tables)
     out_dir = Path(out_dir)
@@ -424,7 +423,10 @@ def _write_profiles(metrics_csvs, out_dir):
 
 
 def cmd_profiles(args) -> int:
-    _write_profiles(args.metrics_csv, args.out_dir)
+    if not args.metrics_csv:
+        raise ValueError("at least one --metrics-csv is required")
+    _write_profiles({Path(path).stem: _read_metrics_csv(path) for path in args.metrics_csv},
+                    args.out_dir)
     print(f"wrote profiles for {len(METRICS)} metrics to {args.out_dir}")
     return EXIT_OK
 
@@ -433,18 +435,8 @@ def cmd_profiles(args) -> int:
 # manifest-driven reproduction
 
 
-def _check_number(field, value, minimum, integer=True):
-    """Raise :class:`DataError` naming ``field`` unless ``value >= minimum``
-    is a finite JSON number (an integer when ``integer``)."""
-    kinds = int if integer else (int, float)
-    if (not isinstance(value, kinds) or isinstance(value, bool)
-            or (isinstance(value, float) and not math.isfinite(value)) or value < minimum):
-        kind = "an integer" if integer else "a number"
-        raise DataError(f"manifest '{field}' must be {kind} >= {minimum}, got {value!r}")
-
-
 def _load_manifest(path):
-    """The manifest JSON, with its instances, strategies, seeds and budgets checked."""
+    """The manifest JSON, with its defaults filled in and every value checked."""
     with path.open() as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -469,14 +461,10 @@ def _load_manifest(path):
                 "an entry needs 'path', 'type': 'example4' with 's', "
                 "or 'n', 'kappa' and 's'"
             )
-        n = 2 if example4 else entry["n"]  # the worked example is 2-D
-        _check_number(f"instances[{i}].n", n, 2)
-        _check_number(f"instances[{i}].s", entry["s"], 1)
-        if entry["s"] >= n:
-            raise DataError(f"manifest 'instances[{i}].s' must be below n={n}, got {entry['s']}")
         if not example4:
-            _check_number(f"instances[{i}].kappa", entry["kappa"], 1, integer=False)
-            _check_number(f"instances[{i}].seed", entry.get("seed", 0), 0)
+            check_number("manifest", f"instances[{i}].kappa", entry["kappa"], 1, integer=False)
+            entry.setdefault("seed", 0)
+        check_instance_entry(entry, "manifest", f"instances[{i}].")
     strategies = manifest.setdefault("strategies", ["mohyb"])
     if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
         raise DataError(f"manifest 'strategies' must be a list drawn from {list(STRATEGIES)}")
@@ -484,27 +472,22 @@ def _load_manifest(path):
     if not isinstance(run_seeds, list):
         raise DataError("manifest 'run_seeds' must be a list of integers")
     for r, run_seed in enumerate(run_seeds):
-        _check_number(f"run_seeds[{r}]", run_seed, 0)
-    _check_number("seed", manifest.get("seed", 0), 0)
-    for key in ("n_starts", "sfsd_budget", "solver_budget"):
-        _check_number(key, manifest.get(key, 1), 1)
-    if not isinstance(manifest.get("out_dir", ""), str):
-        raise DataError(f"manifest 'out_dir' must be a string, got {manifest['out_dir']!r}")
+        check_number("manifest", f"run_seeds[{r}]", run_seed, 0)
+    for key, default, minimum in (("seed", 0, 0), ("n_starts", 10, 1),
+                                  ("sfsd_budget", 10, 1), ("solver_budget", 10_000, 1)):
+        check_number("manifest", key, manifest.setdefault(key, default), minimum)
+    out_dir = manifest.setdefault("out_dir", str(path.parent / "reproduce_out"))
+    if not isinstance(out_dir, str):
+        raise DataError(f"manifest 'out_dir' must be a string, got {out_dir!r}")
     return manifest
 
 
 def cmd_reproduce(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
-    out_dir = Path(manifest.get("out_dir", manifest_path.parent / "reproduce_out"))
+    out_dir = Path(manifest["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    strategies = manifest["strategies"]
-    run_seeds = manifest["run_seeds"]
-    n_starts = manifest.get("n_starts", 10)
-    sfsd_budget = manifest.get("sfsd_budget", 10)
-    solver_budget = manifest.get("solver_budget", 10_000)
-    root_seed = manifest.get("seed", 0)
+    strategies, run_seeds = manifest["strategies"], manifest["run_seeds"]
 
     # Materialize instances first; every referenced file must exist up front.
     inst_dir = out_dir / "instances"
@@ -515,29 +498,23 @@ def cmd_reproduce(args) -> int:
             path = (manifest_path.parent / entry["path"]).resolve()
             if not path.exists():
                 raise DataError(f"manifest references missing instance {path}")
-        elif entry.get("type") == "example4":
-            path = inst_dir / f"example4_s{entry['s']}.json"
-            save_instance(path, "example4", entry["s"])
         else:
-            inst = generate_quadratic(entry["n"], entry["kappa"], entry.get("seed", 0))
-            path = inst_dir / (
-                f"quad_n{entry['n']}_k{entry['kappa']:g}_s{entry['s']}"
-                f"_seed{entry.get('seed', 0)}.json"
-            )
-            save_instance(path, inst, entry["s"])
+            path = inst_dir / _instance_name(entry)
+            _save_entry(path, entry)
         inst_files.append(path)
     loaded = [load_instance(path) for path in inst_files]
 
     # Runs go serially in manifest order: instance, strategy, run seed.
     by_instance: dict = {}
     for ii, (path, (problem, info)) in enumerate(zip(inst_files, loaded)):
-        cfg = _config_for(problem, info, solver_budget=solver_budget)
+        cfg = _config_for(problem, info, solver_budget=manifest["solver_budget"])
         for si, strategy in enumerate(strategies):
             for run_seed in run_seeds:
-                seed = np.random.SeedSequence((root_seed, ii, si, run_seed)).generate_state(1)[0]
+                seed = np.random.SeedSequence(
+                    (manifest["seed"], ii, si, run_seed)).generate_state(1)[0]
                 try:
-                    _, rows = _run_front(problem, info, strategy, n_starts, int(seed),
-                                         cfg, sfsd_budget)
+                    _, rows = _run_front(problem, info, strategy, manifest["n_starts"],
+                                         int(seed), cfg, manifest["sfsd_budget"])
                 except EmptyResultError:
                     continue
                 front_csv = out_dir / "fronts" / path.stem / f"{strategy}_seed{run_seed}.csv"
@@ -550,7 +527,7 @@ def cmd_reproduce(args) -> int:
 
     # Per instance: combined reference over every produced front, then keep
     # the best and worst run per strategy by purity.
-    tables: dict = {"best": [], "worst": []}
+    tables: dict = {"best": {}, "worst": {}}
     for stem, runs in sorted(by_instance.items()):
         reference = build_reference_front([F for _, F in runs])
         per_strategy: dict = {}
@@ -560,10 +537,9 @@ def cmd_reproduce(args) -> int:
             chosen = [(strategy, chooser(per_strategy[strategy], key=lambda t: t[0])[1])
                       for strategy in sorted(per_strategy)]
             path = out_dir / "metrics" / f"{stem}_{tag}.csv"
-            _write_metrics_table(path, chosen, reference)
-            tables[tag].append(path)
-    for tag, files in tables.items():
-        _write_profiles(files, out_dir / "profiles" / tag)
+            tables[tag][path.stem] = _write_metrics_table(path, chosen, reference)[1]
+    for tag, rows in tables.items():
+        _write_profiles(rows, out_dir / "profiles" / tag)
 
     summary = {
         "manifest": str(manifest_path),
@@ -585,11 +561,7 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sparsemoo",
-        description=__doc__,
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    parser = _Parser(prog="sparsemoo", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add_common_problem_flags(sp):
@@ -609,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock limit in seconds, split across phases "
                              "(non-deterministic benchmark parity mode)")
 
-    gen = sub.add_parser("generate", help="write benchmark instance files",
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    gen = sub.add_parser("generate", help="write benchmark instance files")
     gen.add_argument("--n", type=int, default=None, help="dimension")
     gen.add_argument("--kappa", type=float, default=None, help="condition number")
     gen.add_argument("--s", type=int, default=None, help="cardinality bound")
@@ -625,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated seeds for --benchmark-grid")
     gen.set_defaults(func=cmd_generate)
 
-    solve = sub.add_parser("solve", help="multi-start single-point solver with refinement",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    solve = sub.add_parser("solve", help="multi-start single-point solver with refinement")
     add_common_problem_flags(solve)
     solve.add_argument("--strategy", default="mohyb",
                        choices=STRATEGIES)
@@ -634,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", required=True, help="output front CSV")
     solve.set_defaults(func=cmd_solve)
 
-    front = sub.add_parser("front", help="two-phase front approximation",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    front = sub.add_parser("front", help="two-phase front approximation")
     add_common_problem_flags(front)
     front.add_argument("--strategy", default="mohyb",
                        choices=STRATEGIES,
@@ -650,8 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     front.add_argument("--out", required=True, help="output front CSV")
     front.set_defaults(func=cmd_front)
 
-    met = sub.add_parser("metrics", help="front-quality metrics against a reference",
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    met = sub.add_parser("metrics", help="front-quality metrics against a reference")
     met.add_argument("--front", action="append", default=[],
                      help="NAME=PATH front CSV (repeatable)")
     met.add_argument("--reference", default="combined",
@@ -661,16 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--out", required=True, help="output metrics CSV")
     met.set_defaults(func=cmd_metrics)
 
-    prof = sub.add_parser("profiles", help="performance profiles from metric tables",
-                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    prof = sub.add_parser("profiles", help="performance profiles from metric tables")
     prof.add_argument("--metrics-csv", action="append", default=[],
                       help="metrics CSV from the metrics command, one per problem "
                            "(repeatable)")
     prof.add_argument("--out-dir", required=True, help="output directory")
     prof.set_defaults(func=cmd_profiles)
 
-    rep = sub.add_parser("reproduce", help="run a full experiment manifest",
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    rep = sub.add_parser("reproduce", help="run a full experiment manifest")
     rep.add_argument("manifest", help="experiment manifest JSON")
     rep.set_defaults(func=cmd_reproduce)
 

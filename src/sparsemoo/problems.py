@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,34 @@ _MISSING = {"", "?", "na", "nan"}
 
 class DataError(ValueError):
     """A dataset cell or label failed validation."""
+
+
+def check_number(source, field, value, minimum, integer=True):
+    """Raise :class:`DataError` naming ``source`` and ``field`` unless
+    ``value >= minimum`` is a finite JSON number (an integer when ``integer``)."""
+    kinds = int if integer else (int, float)
+    if (not isinstance(value, kinds) or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value)) or value < minimum):
+        kind = "an integer" if integer else "a number"
+        raise DataError(f"{source} '{field}' must be {kind} >= {minimum}, got {value!r}")
+
+
+def check_instance_entry(entry, source, prefix=""):
+    """Check an instance entry ``{"n", "kappa", "s", "seed"}`` or
+    ``{"type": "example4", "s"}``: ``n``, ``s`` and ``seed`` are JSON
+    integers with ``1 <= s < n`` (n = 2 for example4) and ``seed >= 0``.
+
+    Errors name ``source`` and the field, prefixed with ``prefix``.  Each
+    key must be present; ``kappa`` is checked by whoever uses it.
+    """
+    example4 = entry.get("type") == "example4"
+    n = 2 if example4 else entry["n"]  # the worked example is 2-D
+    check_number(source, f"{prefix}n", n, 2)
+    check_number(source, f"{prefix}s", entry["s"], 1)
+    if entry["s"] >= n:
+        raise DataError(f"{source} '{prefix}s' must be below n={n}, got {entry['s']}")
+    if not example4:
+        check_number(source, f"{prefix}seed", entry["seed"], 0)
 
 
 @dataclass(frozen=True)
@@ -280,17 +309,19 @@ def _quadratic_from_doc(path, doc):
     """``(QuadraticInstance, s)`` from an instance document, checked.
 
     Each ``Q_j`` must be a finite symmetric ``(n, n)`` matrix and each
-    ``c_j`` a finite ``(n,)`` vector; ``kappa`` is the Lipschitz constant the
+    ``c_j`` a finite ``(n,)`` vector; ``n``, ``s`` and ``seed`` follow
+    :func:`check_instance_entry`; ``kappa`` is the Lipschitz constant the
     solvers rely on, so it may not undercut the largest eigenvalue of either
     ``Q_j`` (beyond a relative 1e-9).  Violations raise :class:`DataError`.
     """
     try:
-        n, s, kappa, seed = int(doc["n"]), int(doc["s"]), float(doc["kappa"]), int(doc["seed"])
+        n, s, kappa, seed = doc["n"], doc["s"], float(doc["kappa"]), doc["seed"]
         arrays = {name: np.array(doc[name], dtype=float) for name in ("Q1", "Q2", "c1", "c2")}
     except KeyError as exc:
         raise DataError(f"{path}: quadratic instance lacks {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed quadratic instance: {exc}") from None
+    check_instance_entry(doc, f"{path}:")
     for name, arr in arrays.items():
         shape = (n, n) if name.startswith("Q") else (n,)
         if arr.shape != shape:
@@ -310,7 +341,9 @@ def _quadratic_from_doc(path, doc):
 def load_instance(path):
     """Load an instance JSON; returns ``(problem, info dict)``.
 
-    ``info`` carries at least ``type``, ``n``, ``s`` and ``family``.
+    ``info`` carries at least ``type``, ``n``, ``s`` and ``family``.  A
+    document that breaks :func:`check_instance_entry` raises
+    :class:`DataError` naming the file and the field.
     """
     path = Path(path)
     with path.open() as fh:
@@ -325,6 +358,7 @@ def load_instance(path):
     if kind == "example4":
         if "s" not in doc:
             raise DataError(f"{path}: example4 instance lacks 's'")
-        p = example_biobjective()
-        return p, {"type": "example4", "n": 2, "s": int(doc["s"]), "family": "quadratic"}
+        check_instance_entry(doc, f"{path}:")
+        return example_biobjective(), {
+            "type": "example4", "n": 2, "s": doc["s"], "family": "quadratic"}
     raise DataError(f"{path}: unknown instance type {kind!r}")

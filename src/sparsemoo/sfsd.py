@@ -374,9 +374,13 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     After the sweeps a refinement pass drives every surviving entry to
     subspace stationarity within ``FINAL_EPS`` (1e-4) and re-filters each
     key, so final entries satisfy the subspace optimality test at that
-    tolerance.
+    tolerance.  A negative ``budget`` or ``explore_spacing`` raises
+    ``ValueError``.
     """
     s = check_budget(s, p.n)
+    if not (budget >= 0 and explore_spacing >= 0):
+        raise ValueError(f"need budget >= 0 and explore_spacing >= 0, "
+                         f"got {budget} and {explore_spacing}")
     work = archive0.copy()
     prev = work.state()
     for _ in range(budget):

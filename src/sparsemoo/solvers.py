@@ -20,6 +20,10 @@ from .directions import theta_L, theta_subspace
 
 # Backtracking tries alpha0 * delta^h for h = 0..MAX_HALVINGS, then gives up.
 MAX_HALVINGS = 50
+# Penalty decomposition shrinks its inner tolerance by EPS_SHRINK per outer
+# step and stops once ||x - y|| <= XY_TOL.
+EPS_SHRINK = 0.9
+XY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,12 @@ class PenaltyParams:
     tau0: float = 1.0
     tau_growth: float = 1.5
     eps0: float = 1e-2
-    eps_shrink: float = 0.9
-    xy_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.eps0 <= 0 or self.xy_tol <= 0:
-            raise ValueError("tau0, eps0 and xy_tol must be positive")
+        if self.tau0 <= 0 or self.eps0 <= 0:
+            raise ValueError("tau0 and eps0 must be positive")
         if self.tau_growth <= 1:
             raise ValueError("tau_growth must exceed 1")
-        if not 0 < self.eps_shrink < 1:
-            raise ValueError("eps_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     (i) an x-step driving x to approximate subspace stationarity for the
     penalized objectives ``f_j(x) + (tau/2)||x - y||^2`` over the full space
     and (ii) the y-step ``y = project_sparse(x, s)``, until x moves less
-    than the inner tolerance.  Stops once ``||x - y|| <= xy_tol`` and
+    than the inner tolerance.  Stops once ``||x - y|| <= XY_TOL`` and
     returns ``project_sparse(x, s)`` so the output is always feasible.
 
     Returns ``(point, info)``: ``status`` ('converged' | 'budget_exhausted'),
@@ -274,11 +274,11 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
             if moved < eps_k:
                 break
         xy_gap = float(np.linalg.norm(x - y))
-        if xy_gap <= pen.xy_tol:
+        if xy_gap <= XY_TOL:
             status = "converged"
             break
         tau *= pen.tau_growth
-        eps_k *= pen.eps_shrink
+        eps_k *= EPS_SHRINK
         if tau > 1e14:
             break
     return project_sparse(x, s), {

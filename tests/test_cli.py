@@ -44,6 +44,17 @@ class TestGenerate:
     def test_missing_flags_usage_error(self, tmp_path):
         assert run("generate", "--n", 5) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--n", 5, "--kappa", 10, "--s", 7, "--seed", 0),
+        ("--example4", "--s", 2),
+    ], ids=["s_above_n", "example4_s2"])
+    def test_budget_at_or_above_n_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "q.json"
+        assert run("generate", *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{out}: 's' must be below n=" in err
+        assert not out.exists()
+
     def test_unknown_flag_exit_code(self):
         assert run("generate", "--frobnicate") == 1
 
@@ -155,6 +166,25 @@ class TestFront:
                             lambda *a, **k: ParetoArchive())
         assert run("front", "--instance", ex4, "--out", tmp_path / "f.csv") == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget", -3),
+        ("--explore-spacing", -1),
+        ("--wallclock", "nan"),
+        ("--wallclock", -1),
+    ])
+    def test_out_of_range_flag_exits_1(self, ex4, tmp_path, capsys, flag, value):
+        out = tmp_path / "front.csv"
+        # --budget 1 keeps the run short should a bad value be accepted
+        assert run("front", "--instance", ex4, "--n-starts", 2, "--budget", 1,
+                   flag, value, "--out", out) == 1
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err.replace("-", "_")
+        assert not out.exists()
+
+    def test_instance_budget_checked_on_load(self, ex4, tmp_path, capsys):
+        ex4.write_text('{"s": true, "type": "example4"}\n')
+        assert run("front", "--instance", ex4, "--out", tmp_path / "f.csv") == 1
+        assert f"{ex4}: 's' must be an integer" in capsys.readouterr().err
+
     def test_wallclock_smoke(self, ex4, tmp_path):
         out = tmp_path / "front.csv"
         assert run("front", "--instance", ex4, "--strategy", "moiht",
@@ -254,6 +284,31 @@ class TestMetricsAndProfiles:
         s1 = [ln for ln in rows if ln.startswith("S1")]
         # S1 failed the only problem: its curve never rises above zero
         assert all(float(ln.split(",")[2]) == 0.0 for ln in s1)
+
+    def test_reproduce_profiles_match_profiles_command(self, tmp_path):
+        # reproduce builds profiles from its tables in memory; the profiles
+        # command reads the same tables back from the CSVs reproduce wrote
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "instances": [{"type": "example4", "s": 1},
+                          {"n": 6, "kappa": 10.0, "s": 2, "seed": 1}],
+            "strategies": ["moiht", "scalarized"],
+            "run_seeds": [0, 1],
+            "n_starts": 3,
+            "sfsd_budget": 3,
+            "solver_budget": 2000,
+        }))
+        assert run("reproduce", manifest) == 0
+        out = tmp_path / "out"
+        tables = sorted((out / "metrics").glob("*_best.csv"))
+        assert len(tables) == 2
+        flags = [a for path in tables for a in ("--metrics-csv", path)]
+        assert run("profiles", *flags, "--out-dir", tmp_path / "again") == 0
+        for metric in ("purity", "gamma_spread", "delta_spread", "hypervolume"):
+            name = f"{metric}_profile.csv"
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (out / "profiles" / "best" / name).read_bytes())
 
     @pytest.mark.parametrize("text, message", [
         ("solver,purity\nx,1.0\n", "lacks column(s) gamma_spread, delta_spread, hypervolume"),
@@ -391,3 +446,9 @@ class TestTopLevel:
     def test_help_exits_clean(self):
         assert main(["--help"]) == 0
         assert main(["front", "--help"]) == 0
+        assert main(["reproduce", "--help"]) == 0  # one positional, no defaults
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "front", "metrics", "profiles"])
+    def test_subcommand_help_shows_defaults(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert "(default: " in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,11 @@ class TestInstanceRoundTrip:
         (lambda doc: doc["Q1"][0].__setitem__(1, doc["Q1"][0][1] + 0.5), "not symmetric"),
         (lambda doc: doc.update(kappa=5.0), "below the largest eigenvalue"),
         (lambda doc: doc.pop("c1"), "lacks 'c1'"),
+        (lambda doc: doc.update(s=2.7), "'s' must be an integer >= 1, got 2.7"),
+        (lambda doc: doc.update(s=True), "'s' must be an integer >= 1, got True"),
+        (lambda doc: doc.update(s=4), "'s' must be below n=4, got 4"),
+        (lambda doc: doc.update(n=4.0), "'n' must be an integer >= 2, got 4.0"),
+        (lambda doc: doc.update(seed=-1), "'seed' must be an integer >= 0, got -1"),
     ])
     def test_invalid_quadratic_rejected(self, tmp_path, edit, message):
         path = tmp_path / "q.json"
@@ -274,6 +280,13 @@ class TestInstanceRoundTrip:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=message):
+            load_instance(path)
+
+    @pytest.mark.parametrize("s", [2.7, True, 2, 0])
+    def test_example4_budget_checked(self, tmp_path, s):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"type": "example4", "s": s}))
+        with pytest.raises(DataError, match=re.escape(f"{path}: 's' must be")):
             load_instance(path)
 
     def test_generated_instances_load_unchanged(self, tmp_path):
