@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CapacityError, SupportSet, filter_nondominated, support
+from .core import CapacityError, SupportSet, check_number, filter_nondominated, support
 from .metrics import (
     build_reference_front,
     delta_spread,
@@ -33,7 +32,6 @@ from .metrics import (
 from .problems import (
     DataError,
     check_instance_entry,
-    check_number,
     generate_quadratic,
     load_dataset,
     load_instance,
@@ -103,8 +101,9 @@ def read_front_csv(path):
     """Returns (F, X, supports) with supports as 0-based index tuples.
 
     The header must open with the objective columns ``f1, f2, ...`` followed
-    by ``support``; a row with another cell count or a non-numeric cell
-    raises :class:`DataError` naming ``path:line``.
+    by ``support``; a row with another cell count, a non-numeric cell or a
+    support that is not strictly increasing within 1..n (n the number of
+    ``x_`` columns) raises :class:`DataError` naming ``path:line``.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -117,17 +116,21 @@ def read_front_csv(path):
             raise DataError(
                 f"{path}:1: header must be f1, ..., f<m>, support, x_1, ..., x_<n>"
             )
+        n = len(header) - m - 1
         fs, xs, sups = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             try:
                 fs.append([float(v) for v in row[:m]])
-                sup = row[m]
-                sups.append(tuple(int(i) - 1 for i in sup.split("|")) if sup else ())
+                sup = tuple(int(i) for i in row[m].split("|")) if row[m] else ()
                 xs.append([float(v) for v in row[m + 1:]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if any(a >= b for a, b in zip((0,) + sup, sup + (n + 1,))):
+                raise DataError(f"{path}:{lineno}: support {row[m]!r} must list "
+                                f"strictly increasing indices in 1..{n}")
+            sups.append(tuple(i - 1 for i in sup))
     return np.array(fs), np.array(xs), sups
 
 
@@ -196,8 +199,7 @@ def _deadlines(wallclock):
     """(phase-one, phase-two) monotonic deadlines splitting ``wallclock``."""
     if wallclock is None:
         return None, None
-    if not (math.isfinite(wallclock) and wallclock > 0):
-        raise ValueError(f"--wallclock must be a positive number of seconds, got {wallclock}")
+    check_number("--wallclock", wallclock, 0, open_low=True)
     now = time.monotonic()
     return now + wallclock / 2.0, now + wallclock
 
@@ -462,7 +464,6 @@ def _load_manifest(path):
                 "or 'n', 'kappa' and 's'"
             )
         if not example4:
-            check_number("manifest", f"instances[{i}].kappa", entry["kappa"], 1, integer=False)
             entry.setdefault("seed", 0)
         check_instance_entry(entry, "manifest", f"instances[{i}].")
     strategies = manifest.setdefault("strategies", ["mohyb"])
@@ -472,10 +473,10 @@ def _load_manifest(path):
     if not isinstance(run_seeds, list):
         raise DataError("manifest 'run_seeds' must be a list of integers")
     for r, run_seed in enumerate(run_seeds):
-        check_number("manifest", f"run_seeds[{r}]", run_seed, 0)
+        check_number(f"manifest 'run_seeds[{r}]'", run_seed, 0, integer=True)
     for key, default, minimum in (("seed", 0, 0), ("n_starts", 10, 1),
                                   ("sfsd_budget", 10, 1), ("solver_budget", 10_000, 1)):
-        check_number("manifest", key, manifest.setdefault(key, default), minimum)
+        check_number(f"manifest '{key}'", manifest.setdefault(key, default), minimum, integer=True)
     out_dir = manifest.setdefault("out_dir", str(path.parent / "reproduce_out"))
     if not isinstance(out_dir, str):
         raise DataError(f"manifest 'out_dir' must be a string, got {out_dir!r}")

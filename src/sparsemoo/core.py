@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -26,6 +27,25 @@ class CapacityError(RuntimeError):
     """A support enumeration would exceed ``MAX_SUPPORTS``."""
 
 
+class DataError(ValueError):
+    """An input failed validation: a setting, a dataset cell or label, a file."""
+
+
+def check_number(name, value, low, high=math.inf, *, integer=False, open_low=False):
+    """Return ``value`` if it is a finite number (an integer with ``integer``; never a
+    ``bool``) with ``low <= value < high`` (``low < value`` with ``open_low``);
+    otherwise raise :class:`DataError` naming ``name``."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or not (low < value if open_low else low <= value) or not value < high):
+        lower = f"{'>' if open_low else '>='} {low}"
+        bounds = lower if high == math.inf else f"{lower} and < {high}"
+        raise DataError(f"{name} must be {'an integer' if integer else 'a finite number'} "
+                        f"{bounds}, got {value!r}")
+    return value
+
+
 def support(x: np.ndarray) -> np.ndarray:
     """Indices of the nonzero components of ``x`` (0-based, sorted)."""
     return np.flatnonzero(np.abs(np.asarray(x, dtype=float)) > ZERO_TOL)
@@ -38,10 +58,7 @@ def l0_norm(x: np.ndarray) -> int:
 
 def check_budget(s: int, n: int) -> int:
     """Validate a cardinality bound ``1 <= s < n`` and return it as int."""
-    s = int(s)
-    if not 1 <= s < n:
-        raise ValueError(f"cardinality bound must satisfy 1 <= s < n, got s={s}, n={n}")
-    return s
+    return int(check_number("s", s, 1, n, integer=True))
 
 
 def is_feasible(x: np.ndarray, s: int) -> bool:

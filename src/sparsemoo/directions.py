@@ -30,6 +30,7 @@ from .core import (
     MAX_SUPPORTS,
     CapacityError,
     SupportSet,
+    check_number,
     check_point,
     is_feasible,
     support,
@@ -294,8 +295,7 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     that can still attain the minimum are scored.
     """
     x, s = check_point(x, s, p.n)
-    if L <= 0 or not np.isfinite(L):
-        raise ValueError(f"curvature L must be positive and finite, got {L}")
+    check_number("L", L, 0, open_low=True)
     grads = np.asarray(p.gradient(x), dtype=float)
     X2 = float(x @ x)
     P = grads @ x  # (m,)
@@ -324,13 +324,11 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
 
 def is_L_stationary(p, x, s, L, eps: float = 1e-7) -> bool:
     """True iff ``theta_L(p, x, s, L) > -eps``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_number("eps", eps, 0, open_low=True)
     return theta_L(p, x, s, L).theta > -eps
 
 
 def is_pareto_stationary(p, x, s, eps: float = 1e-7) -> bool:
     """True iff ``theta_feasible(p, x, s) > -eps``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_number("eps", eps, 0, open_low=True)
     return theta_feasible(p, x, s).theta > -eps

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,41 +21,30 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .core import MultiObjectiveProblem
+from .core import DataError, MultiObjectiveProblem, check_number
 
 _MISSING = {"", "?", "na", "nan"}
-
-
-class DataError(ValueError):
-    """A dataset cell or label failed validation."""
-
-
-def check_number(source, field, value, minimum, integer=True):
-    """Raise :class:`DataError` naming ``source`` and ``field`` unless
-    ``value >= minimum`` is a finite JSON number (an integer when ``integer``)."""
-    kinds = int if integer else (int, float)
-    if (not isinstance(value, kinds) or isinstance(value, bool)
-            or (isinstance(value, float) and not math.isfinite(value)) or value < minimum):
-        kind = "an integer" if integer else "a number"
-        raise DataError(f"{source} '{field}' must be {kind} >= {minimum}, got {value!r}")
 
 
 def check_instance_entry(entry, source, prefix=""):
     """Check an instance entry ``{"n", "kappa", "s", "seed"}`` or
     ``{"type": "example4", "s"}``: ``n``, ``s`` and ``seed`` are JSON
-    integers with ``1 <= s < n`` (n = 2 for example4) and ``seed >= 0``.
+    integers with ``1 <= s < n`` (n = 2 for example4) and ``seed >= 0``,
+    and ``kappa`` is a finite number ``>= 1``.
 
     Errors name ``source`` and the field, prefixed with ``prefix``.  Each
-    key must be present; ``kappa`` is checked by whoever uses it.
+    key must be present.
     """
+    def check(field, low, integer=True):
+        return check_number(f"{source} '{prefix}{field}'", entry[field], low, integer=integer)
+
     example4 = entry.get("type") == "example4"
-    n = 2 if example4 else entry["n"]  # the worked example is 2-D
-    check_number(source, f"{prefix}n", n, 2)
-    check_number(source, f"{prefix}s", entry["s"], 1)
-    if entry["s"] >= n:
+    n = 2 if example4 else check("n", 2)  # the worked example is 2-D
+    if check("s", 1) >= n:
         raise DataError(f"{source} '{prefix}s' must be below n={n}, got {entry['s']}")
     if not example4:
-        check_number(source, f"{prefix}seed", entry["seed"], 0)
+        check("kappa", 1, integer=False)
+        check("seed", 0)
 
 
 @dataclass(frozen=True)
@@ -111,12 +99,8 @@ def generate_quadratic(n: int, kappa: float, seed: int) -> QuadraticInstance:
     [-1, 1) via ``2 u - 1``.  Draw order: Gaussian for Q1, Gaussian for Q2,
     then c1, then c2, from ``default_rng(seed)``.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    kappa = float(kappa)
-    if kappa < 1:
-        raise ValueError(f"condition number must be >= 1, got {kappa}")
+    n = check_number("n", n, 2, integer=True)
+    kappa = float(check_number("kappa", kappa, 1))
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(2):
@@ -309,9 +293,9 @@ def _quadratic_from_doc(path, doc):
     """``(QuadraticInstance, s)`` from an instance document, checked.
 
     Each ``Q_j`` must be a finite symmetric ``(n, n)`` matrix and each
-    ``c_j`` a finite ``(n,)`` vector; ``n``, ``s`` and ``seed`` follow
-    :func:`check_instance_entry`; ``kappa`` is the Lipschitz constant the
-    solvers rely on, so it may not undercut the largest eigenvalue of either
+    ``c_j`` a finite ``(n,)`` vector; ``n``, ``kappa``, ``s`` and ``seed``
+    follow :func:`check_instance_entry`; ``kappa`` is the Lipschitz constant
+    the solvers rely on, so it may not undercut the largest eigenvalue of either
     ``Q_j`` (beyond a relative 1e-9).  Violations raise :class:`DataError`.
     """
     try:

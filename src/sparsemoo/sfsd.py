@@ -18,6 +18,7 @@ from .core import (
     MultiObjectiveProblem,
     SupportSet,
     check_budget,
+    check_number,
     check_point,
     dominates,
     filter_nondominated,
@@ -227,9 +228,9 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
                  seed: int, box, cfg: SolverConfig, deadline: float | None = None):
     """Multi-start a single-point solver; returns ``(points, iteration_counts)``.
 
-    ``n_starts`` points are sampled uniformly from ``box`` (a (lo, hi) pair
-    or an (n, 2) array of per-coordinate intervals), projected onto the
-    sparsity set and handed to the chosen solver.  A point's iteration
+    ``n_starts`` points are sampled uniformly from the cube ``box = (lo, hi)``
+    with ``lo < hi`` (as ``lo + (hi - lo) * u``), projected onto the sparsity
+    set and handed to the chosen solver.  A point's iteration
     count is moiht's iterations, mospd's outer iterations or the moiht
     stage's iterations of mohyb.
 
@@ -241,20 +242,17 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
     processed past the deadline; results are otherwise deterministic.
     """
     s = check_budget(s, p.n)
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
+    check_number("n_starts", n_starts, 1, integer=True)
     if strategy == "scalarized":
         points = scalarized_iht(p, s, default_lambda_grid(p.n), np.zeros(p.n), cfg)
         return points, [None] * len(points)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown initialization strategy {strategy!r}")
-    box_arr = np.asarray(box, dtype=float)
-    if box_arr.shape == (2,):
-        box_arr = np.tile(box_arr, (p.n, 1))
-    if box_arr.shape != (p.n, 2):
-        raise ValueError("box must be a (lo, hi) pair or an (n, 2) array")
+    lo, hi = box
+    lo = float(check_number("box lo", lo, -np.inf))
+    hi = float(check_number("box hi", hi, lo, open_low=True))
     rng = np.random.default_rng(seed)
-    starts = box_arr[:, 0] + (box_arr[:, 1] - box_arr[:, 0]) * rng.random((n_starts, p.n))
+    starts = lo + (hi - lo) * rng.random((n_starts, p.n))
     points, counts = [], []
     for start in starts:
         if deadline is not None and time.monotonic() > deadline:
@@ -306,8 +304,6 @@ def _objective_subsets(m: int):
 def _explore_allowed(group, entry: ArchiveEntry, mode: str) -> bool:
     if mode == "off":
         return True
-    if mode not in ("mean", "quantile"):
-        raise ValueError(f"unknown crowding mode {mode!r}")
     F = np.array([e.fvals for e in group])
     dist = crowding_distance(F)
     pos = next(i for i, e in enumerate(group) if e is entry)
@@ -374,13 +370,15 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     After the sweeps a refinement pass drives every surviving entry to
     subspace stationarity within ``FINAL_EPS`` (1e-4) and re-filters each
     key, so final entries satisfy the subspace optimality test at that
-    tolerance.  A negative ``budget`` or ``explore_spacing`` raises
-    ``ValueError``.
+    tolerance.  ``budget`` must be an integer ``>= 0`` and
+    ``explore_spacing`` a finite number ``>= 0``, and ``crowding`` one of
+    the three modes; anything else raises ``ValueError``.
     """
     s = check_budget(s, p.n)
-    if not (budget >= 0 and explore_spacing >= 0):
-        raise ValueError(f"need budget >= 0 and explore_spacing >= 0, "
-                         f"got {budget} and {explore_spacing}")
+    check_number("budget", budget, 0, integer=True)
+    check_number("explore_spacing", explore_spacing, 0)
+    if crowding not in ("off", "mean", "quantile"):
+        raise ValueError(f"unknown crowding mode {crowding!r}")
     work = archive0.copy()
     prev = work.state()
     for _ in range(budget):

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import MultiObjectiveProblem, SupportSet, check_point, project_sparse
+from .core import MultiObjectiveProblem, SupportSet, check_number, check_point, project_sparse
 from .directions import theta_L, theta_subspace
 
 # Backtracking tries alpha0 * delta^h for h = 0..MAX_HALVINGS, then gives up.
@@ -35,10 +35,9 @@ class ArmijoParams:
     gamma: float = 1e-4
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if not 0 < self.delta < 1 or not 0 < self.gamma < 1:
-            raise ValueError("delta and gamma must lie in (0, 1)")
+        check_number("alpha0", self.alpha0, 0, open_low=True)
+        check_number("delta", self.delta, 0, 1, open_low=True)
+        check_number("gamma", self.gamma, 0, 1, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,9 @@ class PenaltyParams:
     eps0: float = 1e-2
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.eps0 <= 0:
-            raise ValueError("tau0 and eps0 must be positive")
-        if self.tau_growth <= 1:
-            raise ValueError("tau_growth must exceed 1")
+        check_number("tau0", self.tau0, 0, open_low=True)
+        check_number("tau_growth", self.tau_growth, 1, open_low=True)
+        check_number("eps0", self.eps0, 0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,9 @@ class SolverConfig:
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("curvature L must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_number("L", self.L, 0, open_low=True)
+        check_number("eps", self.eps, 0, open_low=True)
+        check_number("max_iter", self.max_iter, 1, integer=True)
 
 
 def default_config(p: MultiObjectiveProblem, family: str = "quadratic", **overrides) -> SolverConfig:

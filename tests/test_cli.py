@@ -55,6 +55,13 @@ class TestGenerate:
         assert f"{out}: 's' must be below n=" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    def test_nonfinite_kappa_rejected(self, tmp_path, capsys, kappa):
+        out = tmp_path / "q.json"
+        assert run("generate", "--n", 5, "--kappa", kappa, "--s", 2, "--out", out) == 1
+        assert f"{out}: 'kappa' must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exit_code(self):
         assert run("generate", "--frobnicate") == 1
 
@@ -82,6 +89,15 @@ class TestSolve:
     def test_zero_starts_usage_error(self, ex4, tmp_path):
         assert run("solve", "--instance", ex4, "--n-starts", 0,
                    "--out", tmp_path / "f.csv") == 1
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_nonfinite_eps_rejected(self, ex4, tmp_path, capsys, eps):
+        # --eps inf once stopped every start at once and wrote them as a front
+        out = tmp_path / "f.csv"
+        assert run("solve", "--instance", ex4, "--n-starts", 2, "--eps", eps,
+                   "--out", out) == 1
+        assert "eps must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_seeds_identical_csv(self, ex4, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -171,6 +187,8 @@ class TestFront:
         ("--explore-spacing", -1),
         ("--wallclock", "nan"),
         ("--wallclock", -1),
+        ("--explore-spacing", "inf"),
+        ("--tau0", "nan"),
     ])
     def test_out_of_range_flag_exits_1(self, ex4, tmp_path, capsys, flag, value):
         out = tmp_path / "front.csv"
@@ -200,6 +218,10 @@ class TestFrontCsvValidation:
         ("f1,f2,x_1,x_2\n1.0,2.0,0.5,0.0\n", ":1:"),
         ("", ":1:"),
         ("f1,f2,support,x_1,x_2\n1.0,oops,1,0.5,0.0\n", ":2:"),
+        ("f1,f2,support,x_1,x_2\n3.0,1.0,2,0.0,0.5\n1.0,2.0,0,0.5,0.0\n", ":3:"),
+        ("f1,f2,support,x_1,x_2\n1.0,2.0,2|2,0.5,0.0\n", ":2:"),
+        ("f1,f2,support,x_1,x_2\n1.0,2.0,2|1,0.5,0.0\n", ":2:"),
+        ("f1,f2,support,x_1,x_2\n1.0,2.0,7,0.5,0.0\n", ":2:"),
     ])
     def test_bad_front_csv_exits_1(self, tmp_path, capsys, text, where):
         path = tmp_path / "front.csv"

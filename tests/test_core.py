@@ -1,4 +1,9 @@
 import itertools
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemoo import (
+    ArmijoParams,
     CapacityError,
+    DataError,
     MultiObjectiveProblem,
+    ParetoArchive,
+    PenaltyParams,
+    SolverConfig,
     SupportSet,
     dominates,
+    example_biobjective,
     filter_nondominated,
+    generate_quadratic,
+    is_L_stationary,
+    is_pareto_stationary,
     l0_norm,
     project_sparse,
+    sfsd_run,
     super_supports,
+    theta_L,
 )
+from sparsemoo import cli
+from sparsemoo.core import check_number
+from sparsemoo.problems import check_instance_entry
+from sparsemoo.sfsd import solve_starts
 
 from oracles import nondominated_indices
 
@@ -188,3 +208,91 @@ class TestProblemOracle:
 
     def test_l0_norm_tolerance(self):
         assert l0_norm(np.array([1e-13, 1.0, 0.0])) == 1
+
+
+class TestCheckNumber:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.floats(-10, 20), st.integers(-10, 20),
+                        st.integers(-10**400, 10**400), st.booleans()),
+        low=st.one_of(st.integers(-5, 5), st.floats(-5, 5), st.just(-math.inf)),
+        width=st.one_of(st.floats(0, 10), st.just(math.inf)),
+        integer=st.booleans(),
+        open_low=st.booleans(),
+    )
+    def test_returns_in_range_values_and_rejects_the_rest(self, value, low, width,
+                                                          integer, open_low):
+        high = max(low, 0) + width
+        kind_ok = type(value) is int or (
+            not integer and type(value) is float and value - value == 0.0)
+        ok = kind_ok and (value > low if open_low else value >= low) and value < high
+        if ok:
+            assert check_number("knob", value, low, high, integer=integer,
+                                open_low=open_low) is value
+        else:
+            with pytest.raises(DataError, match="^knob must be"):
+                check_number("knob", value, low, high, integer=integer, open_low=open_low)
+
+
+def _load_manifest(**fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps({"instances": [{"type": "example4", "s": 1}], **fields}))
+        return cli._load_manifest(path)
+
+
+_P = example_biobjective()
+_X0 = np.zeros(2)
+_CFG = SolverConfig(L=1.1)
+
+
+def _entry(**fields):
+    return check_instance_entry({"n": 4, "kappa": 10.0, "s": 2, "seed": 0, **fields}, "q.json:")
+
+
+# (name in the message, integer setting, call with the value under test)
+GUARDED = [
+    ("s", True, lambda v: project_sparse(np.ones(3), v)),
+    ("s", True, lambda v: theta_L(_P, _X0, v, 1.1)),
+    ("n", True, lambda v: generate_quadratic(v, 10.0, 0)),
+    ("kappa", False, lambda v: generate_quadratic(4, v, 0)),
+    ("L", False, lambda v: theta_L(_P, _X0, 1, v)),
+    ("eps", False, lambda v: is_L_stationary(_P, _X0, 1, 1.1, eps=v)),
+    ("eps", False, lambda v: is_pareto_stationary(_P, _X0, 1, eps=v)),
+    ("alpha0", False, lambda v: ArmijoParams(alpha0=v)),
+    ("delta", False, lambda v: ArmijoParams(delta=v)),
+    ("gamma", False, lambda v: ArmijoParams(gamma=v)),
+    ("tau0", False, lambda v: PenaltyParams(tau0=v)),
+    ("tau_growth", False, lambda v: PenaltyParams(tau_growth=v)),
+    ("eps0", False, lambda v: PenaltyParams(eps0=v)),
+    ("L", False, lambda v: SolverConfig(L=v)),
+    ("eps", False, lambda v: SolverConfig(L=1.1, eps=v)),
+    ("max_iter", True, lambda v: SolverConfig(L=1.1, max_iter=v)),
+    ("n_starts", True, lambda v: solve_starts(_P, 1, "moiht", v, 0, (-2.0, 2.0), _CFG)),
+    ("box lo", False, lambda v: solve_starts(_P, 1, "moiht", 1, 0, (v, 2.0), _CFG)),
+    ("box hi", False, lambda v: solve_starts(_P, 1, "moiht", 1, 0, (-2.0, v), _CFG)),
+    ("budget", True, lambda v: sfsd_run(_P, ParetoArchive(), 1, _CFG, v)),
+    ("explore_spacing", False,
+     lambda v: sfsd_run(_P, ParetoArchive(), 1, _CFG, 0, explore_spacing=v)),
+    ("--wallclock", False, lambda v: cli._deadlines(v)),
+    ("q.json: 'n'", True, lambda v: _entry(n=v)),
+    ("q.json: 's'", True, lambda v: _entry(s=v)),
+    ("q.json: 'kappa'", False, lambda v: _entry(kappa=v)),
+    ("q.json: 'seed'", True, lambda v: _entry(seed=v)),
+    ("manifest 'seed'", True, lambda v: _load_manifest(seed=v)),
+    ("manifest 'n_starts'", True, lambda v: _load_manifest(n_starts=v)),
+    ("manifest 'sfsd_budget'", True, lambda v: _load_manifest(sfsd_budget=v)),
+    ("manifest 'solver_budget'", True, lambda v: _load_manifest(solver_budget=v)),
+    ("manifest 'run_seeds[0]'", True, lambda v: _load_manifest(run_seeds=[v])),
+    ("manifest 'instances[0].kappa'", False,
+     lambda v: _load_manifest(instances=[{"n": 4, "kappa": v, "s": 2}])),
+]
+
+
+@pytest.mark.parametrize("name, integer, call", GUARDED,
+                         ids=[f"{i}-{name}" for i, (name, _, _) in enumerate(GUARDED)])
+def test_every_guarded_setting_rejects_nonfinite_bool_and_fraction(name, integer, call):
+    for value in [math.nan, math.inf, -math.inf, True] + ([2.5] if integer else []):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be")):
+            call(value)

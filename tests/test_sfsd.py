@@ -267,8 +267,9 @@ class TestSfsdRun:
         for mode in ("off", "mean", "quantile"):
             out = sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=2, crowding=mode)
             assert len(out) >= 1
-        with pytest.raises(ValueError):
-            sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=1, crowding="median")
+        for budget in (1, 0):  # checked up front, even when no sweep runs
+            with pytest.raises(ValueError, match="crowding"):
+                sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=budget, crowding="median")
 
     def test_monotone_common_steps_recorded(self, quadratic_factory):
         # objective vectors along common-descent insertions never increase:
