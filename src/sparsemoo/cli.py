@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from dataclasses import replace
@@ -36,7 +35,11 @@ from .problems import (
     load_dataset,
     load_instance,
     logistic_problem,
+    parse_cell,
+    read_json,
+    read_table,
     save_instance,
+    write_json,
 )
 from .sfsd import STRATEGIES, initialize, sfsd_run, solve_starts
 from .solvers import default_config, mosd
@@ -80,64 +83,55 @@ class _Parser(argparse.ArgumentParser):
 # front CSV round trip
 
 
-def write_front_csv(path, rows, n: int, m: int):
-    """Rows of (fvals, x, SupportSet) -> CSV with 1-based support column."""
+def _write_table(path, header, rows):
+    """Write ``header`` and then ``rows`` as a CSV file, creating its parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [f"f{j + 1}" for j in range(m)]
-            + ["support"]
-            + [f"x_{i + 1}" for i in range(n)]
-        )
-        for fvals, x, J in rows:
-            sup = "|".join(str(i) for i in J.to_1based())
-            writer.writerow([repr(float(v)) for v in fvals] + [sup]
-                            + [repr(float(v)) for v in x])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_front_csv(path, rows, n: int, m: int):
+    """Rows of (fvals, x, SupportSet) -> CSV with 1-based support column."""
+    _write_table(
+        path,
+        [f"f{j + 1}" for j in range(m)] + ["support"] + [f"x_{i + 1}" for i in range(n)],
+        ([repr(float(v)) for v in fvals] + ["|".join(str(i) for i in J.to_1based())]
+         + [repr(float(v)) for v in x] for fvals, x, J in rows),
+    )
 
 
 def read_front_csv(path):
     """Returns (F, X, supports) with supports as 0-based index tuples.
 
     The header must open with the objective columns ``f1, f2, ...`` followed
-    by ``support``; a row with another cell count, a non-numeric cell or a
-    support that is not strictly increasing within 1..n (n the number of
-    ``x_`` columns) raises :class:`DataError` naming ``path:line``.
+    by ``support``; a row with another cell count, an objective or ``x_``
+    cell that is not a finite number, or a support that is not strictly
+    increasing within 1..n (n the number of ``x_`` columns) raises
+    :class:`DataError` naming ``path:line``.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        m = 0
-        while m < len(header) and header[m] == f"f{m + 1}":
-            m += 1
-        if m == 0 or header[m:m + 1] != ["support"]:
-            raise DataError(
-                f"{path}:1: header must be f1, ..., f<m>, support, x_1, ..., x_<n>"
-            )
-        n = len(header) - m - 1
-        fs, xs, sups = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                fs.append([float(v) for v in row[:m]])
-                sup = tuple(int(i) for i in row[m].split("|")) if row[m] else ()
-                xs.append([float(v) for v in row[m + 1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if any(a >= b for a, b in zip((0,) + sup, sup + (n + 1,))):
-                raise DataError(f"{path}:{lineno}: support {row[m]!r} must list "
-                                f"strictly increasing indices in 1..{n}")
-            sups.append(tuple(i - 1 for i in sup))
+    header, table = read_table(path)
+    m = 0
+    while m < len(header) and header[m] == f"f{m + 1}":
+        m += 1
+    if m == 0 or header[m:m + 1] != ["support"]:
+        raise DataError(f"{path}:1: header must be f1, ..., f<m>, support, x_1, ..., x_<n>")
+    n = len(header) - m - 1
+    fs, xs, sups = [], [], []
+    for line, row in table:
+        values = [parse_cell(path, line, col, cell)
+                  for j, (col, cell) in enumerate(zip(header, row)) if j != m]
+        fs.append(values[:m])
+        xs.append(values[m:])
+        try:
+            J = SupportSet(tuple(int(i) - 1 for i in row[m].split("|")) if row[m] else (), n)
+        except ValueError:
+            raise DataError(f"{path}:{line}: support {row[m]!r} must list "
+                            f"strictly increasing indices in 1..{n}") from None
+        sups.append(J.indices)
     return np.array(fs), np.array(xs), sups
-
-
-def _write_json(path, doc):
-    with Path(path).open("w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _instance_name(entry):
@@ -236,11 +230,11 @@ def _nondominated(rows, empty):
 def _write_front(args, problem, info, cfg, rows, **extras):
     """Front CSV, its ``.meta.json`` (shared keys plus ``extras``) and the summary line."""
     write_front_csv(args.out, rows, problem.n, problem.m)
-    _write_json(f"{args.out}.meta.json", {
+    write_json(f"{args.out}.meta.json", {
         "command": args.command, "strategy": args.strategy, "seed": args.seed,
         "n_starts": args.n_starts, "s": info["s"], "L": cfg.L, "eps": cfg.eps,
         "wallclock": args.wallclock, "instance": info, **extras,
-    })
+    }, indent=2)
     print(f"wrote {args.out} ({len(rows)} nondominated points)")
     return EXIT_OK
 
@@ -344,12 +338,8 @@ def _write_metrics_table(path, named, reference, spread=None):
     rows = [(name, [purity(F, reference), gamma_spread(Fs, spread_ref),
                     delta_spread(Fs, spread_ref), hypervolume_2d(F, ref_point)])
             for (name, F), Fs in zip(named, spread_fronts)]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver"] + [metric for metric, _ in METRICS])
-        writer.writerows([name] + [repr(v) for v in values] for name, values in rows)
+    _write_table(path, ["solver"] + [metric for metric, _ in METRICS],
+                 ([name] + [repr(v) for v in values] for name, values in rows))
     return ref_point, rows
 
 
@@ -371,39 +361,39 @@ def cmd_metrics(args) -> int:
         rescaled = rescale_logistic_objectives(fronts + [reference])
         spread = (rescaled[:-1], rescaled[-1])
     ref_point, _ = _write_metrics_table(args.out, named, reference, spread)
-    _write_json(f"{args.out}.meta.json", {
+    write_json(f"{args.out}.meta.json", {
         "command": "metrics",
         "reference": args.reference,
         "reference_points": int(reference.shape[0]),
         "ref_point": ref_point.tolist(),
         "logistic_scaling": bool(args.logistic_scaling),
         "fronts": [name for name, _ in named],
-    })
+    }, indent=2)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _read_metrics_csv(path):
     """A metrics table's rows as ``(solver, values in METRICS order)``; bad tables raise DataError."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ["solver"] + [metric for metric, _ in METRICS]
-                   if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: metrics CSV lacks column(s) {', '.join(missing)}")
-        try:
-            return [(row["solver"], [float(row[metric]) for metric, _ in METRICS])
-                    for row in reader]
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    header, table = read_table(path)
+    columns = ["solver"] + [metric for metric, _ in METRICS]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DataError(f"{path}: metrics CSV lacks column(s) {', '.join(missing)}")
+    solver, *metrics = [header.index(c) for c in columns]
+    rows = []
+    for line, row in table:
+        try:  # plain float: an empty front scores inf in the spreads
+            rows.append((row[solver], [float(row[j]) for j in metrics]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
+    return rows
 
 
 def _write_profiles(tables, out_dir):
     """Per-metric profile CSVs over ``{problem: metric table rows}``."""
     solvers = sorted({solver for rows in tables.values() for solver, _ in rows})
     problems = sorted(tables)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for k, (metric, higher) in enumerate(METRICS):
         V = np.full((len(problems), len(solvers)), np.nan)
         for i, prob in enumerate(problems):
@@ -415,13 +405,9 @@ def _write_profiles(tables, out_dir):
                 if np.isfinite(val):
                     V[i, j] = val
         curves = performance_profiles(V, higher_is_better=higher, solvers=solvers)
-        path = out_dir / f"{metric}_profile.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["solver", "tau", "rho"])
-            for curve in curves:
-                for t, r in zip(curve.taus, curve.rhos):
-                    writer.writerow([curve.solver, repr(float(t)), repr(float(r))])
+        _write_table(Path(out_dir) / f"{metric}_profile.csv", ["solver", "tau", "rho"],
+                     ([curve.solver, repr(float(t)), repr(float(r))]
+                      for curve in curves for t, r in zip(curve.taus, curve.rhos)))
 
 
 def cmd_profiles(args) -> int:
@@ -439,8 +425,7 @@ def cmd_profiles(args) -> int:
 
 def _load_manifest(path):
     """The manifest JSON, with its defaults filled in and every value checked."""
-    with path.open() as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise DataError("manifest must be a JSON object")
     instances = manifest.get("instances")
@@ -454,16 +439,7 @@ def _load_manifest(path):
                 raise DataError(
                     f"manifest 'instances[{i}].path' must be a string, got {entry['path']!r}")
             continue
-        example4 = entry.get("type") == "example4"
-        need = ("s",) if example4 else ("n", "kappa", "s")
-        missing = [key for key in need if key not in entry]
-        if missing:
-            raise DataError(
-                f"manifest 'instances[{i}]' lacks {', '.join(map(repr, missing))}; "
-                "an entry needs 'path', 'type': 'example4' with 's', "
-                "or 'n', 'kappa' and 's'"
-            )
-        if not example4:
+        if entry.get("type") != "example4":
             entry.setdefault("seed", 0)
         check_instance_entry(entry, "manifest", f"instances[{i}].")
     strategies = manifest.setdefault("strategies", ["mohyb"])
@@ -552,7 +528,7 @@ def cmd_reproduce(args) -> int:
             "few seeds they are sparser than a full-protocol reference"
         ),
     }
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary, indent=2)
     print(f"reproduced {len(by_instance)} instances into {out_dir}")
     return EXIT_OK
 

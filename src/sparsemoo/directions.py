@@ -14,7 +14,8 @@ The last two minimize an on-support value over size-s supports.  One kernel
 (:func:`_best_support`) finds the lexicographically first minimizer: past
 ``_SCREEN_MIN`` candidates a Lagrangian bound (:func:`_screen`) first fixes
 coordinates in or out of every minimizer, and only the supports that respect
-those fixings are scored, in the same order and by the same arithmetic.
+those fixings are scored (at most ``MAX_SUPPORTS``), in the same order and
+by the same arithmetic.
 """
 
 from __future__ import annotations
@@ -191,25 +192,24 @@ def _best_support(grads, x, L, s, fixed, offsets) -> SupportSet:
     """Lexicographically first size-s superset of ``fixed`` minimizing :func:`_thetas`.
 
     ``offsets(K)`` gives the (m, N) affine offsets for a block ``K`` of
-    sorted rows.  Raises :class:`CapacityError` when there are more than
-    ``MAX_SUPPORTS`` candidates, before any screening.  Above
-    ``_SCREEN_MIN`` candidates :func:`_screen` first narrows them; the rows
-    it keeps are still scored in lexicographic order, so the returned support
-    is the one a full enumeration returns.
+    sorted rows.  Above ``_SCREEN_MIN`` candidates :func:`_screen` first
+    narrows them; the rows it keeps are still scored in lexicographic order,
+    so the returned support is the one a full enumeration returns.  Raises
+    :class:`CapacityError` when more than ``MAX_SUPPORTS`` rows are left to
+    score after the screen.
     """
     n = x.size
     is_free = np.ones(n, dtype=bool)
     is_free[fixed] = False
     free = np.flatnonzero(is_free)
     k = s - fixed.size
+    # a single candidate (k = 0, or all of free) needs no screen
+    if math.comb(free.size, k) > max(_SCREEN_MIN, 1):
+        fixed, free, k = _screen(grads, x, L, fixed, free, k, offsets)
     total = math.comb(free.size, k)
     if total > MAX_SUPPORTS:
-        raise CapacityError(
-            f"enumerating {total} supports exceeds the cap {MAX_SUPPORTS}; reduce n or s"
-        )
-    # a single candidate (k = 0, or all of free) needs no screen
-    if total > max(_SCREEN_MIN, 1):
-        fixed, free, k = _screen(grads, x, L, fixed, free, k, offsets)
+        raise CapacityError(f"scoring {total} supports exceeds the cap {MAX_SUPPORTS}; "
+                            "reduce n or s")
     best_theta, best_K = np.inf, None
     for E in _support_chunks(free.size, k):
         K = _with_fixed(fixed, free[E])

@@ -73,10 +73,21 @@ def purity(front, reference) -> float:
     return hits / F.shape[0]
 
 
-def _extreme_rows(ref: np.ndarray):
-    """Reference rows with lexicographically smallest / largest first objective."""
-    order = np.lexsort(ref.T[::-1])  # by f1, then f2, ...
-    return ref[order[0]], ref[order[-1]]
+def _spread_inputs(front, reference, min_rows):
+    """``(F, lo, hi)`` for a spread metric: the front and the reference rows
+    with lexicographically smallest / largest first objective.  ``None``
+    (the metric is +inf) when the front has fewer than ``min_rows`` rows.
+    """
+    F = _as_front(front)
+    ref = _as_front(reference)
+    if ref.shape[0] == 0:
+        raise ValueError("reference front must be nonempty")
+    if F.shape[0] < min_rows:
+        return None
+    if F.shape[1] != 2 or ref.shape[1] != 2:
+        raise ValueError("spread metrics are defined for two objectives")
+    order = np.lexsort(ref.T[::-1])  # by f1, then f2
+    return F, ref[order[0]], ref[order[-1]]
 
 
 def gamma_spread(front, reference) -> float:
@@ -86,15 +97,10 @@ def gamma_spread(front, reference) -> float:
     the first objective; the value is the maximum over objectives of the
     maximum absolute gap between consecutive rows.  Empty front -> +inf.
     """
-    F = _as_front(front)
-    ref = _as_front(reference)
-    if ref.shape[0] == 0:
-        raise ValueError("reference front must be nonempty")
-    if F.shape[0] == 0:
+    inputs = _spread_inputs(front, reference, 1)
+    if inputs is None:
         return float("inf")
-    if F.shape[1] != 2 or ref.shape[1] != 2:
-        raise ValueError("spread metrics are defined for two objectives")
-    lo, hi = _extreme_rows(ref)
+    F, lo, hi = inputs
     aug = np.unique(np.vstack([F, lo[None, :], hi[None, :]]), axis=0)
     aug = aug[np.lexsort(aug.T[::-1])]
     if aug.shape[0] < 2:
@@ -114,15 +120,10 @@ def delta_spread(front, reference) -> float:
 
     Fronts with fewer than two points give +inf.
     """
-    F = _as_front(front)
-    ref = _as_front(reference)
-    if ref.shape[0] == 0:
-        raise ValueError("reference front must be nonempty")
-    if F.shape[0] < 2:
+    inputs = _spread_inputs(front, reference, 2)
+    if inputs is None:
         return float("inf")
-    if F.shape[1] != 2 or ref.shape[1] != 2:
-        raise ValueError("spread metrics are defined for two objectives")
-    lo, hi = _extreme_rows(ref)
+    F, lo, hi = inputs
     F = F[np.lexsort(F.T[::-1])]
     d0 = float(np.linalg.norm(F[0] - lo))
     dN = float(np.linalg.norm(F[-1] - hi))

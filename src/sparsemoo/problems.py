@@ -2,7 +2,8 @@
 
 Random biobjective quadratics with controlled conditioning, a worked 2-D
 instance with known geometry, sparse logistic regression over standardized
-CSV datasets, and the instance JSON round trip used by the CLI.
+CSV datasets, the instance JSON round trip, and the one reader or writer
+of each file format the CLI shares: CSV tables and their cells, JSON.
 
 Randomness comes exclusively from numpy's PCG64 generator seeded through
 ``numpy.random.default_rng(seed)`` / ``SeedSequence``, so instances are
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -28,23 +29,76 @@ _MISSING = {"", "?", "na", "nan"}
 
 def check_instance_entry(entry, source, prefix=""):
     """Check an instance entry ``{"n", "kappa", "s", "seed"}`` or
-    ``{"type": "example4", "s"}``: ``n``, ``s`` and ``seed`` are JSON
-    integers with ``1 <= s < n`` (n = 2 for example4) and ``seed >= 0``,
-    and ``kappa`` is a finite number ``>= 1``.
+    ``{"type": "example4", "s"}``: each key is present, ``n``, ``s`` and
+    ``seed`` are JSON integers with ``1 <= s < n`` (n = 2 for example4) and
+    ``seed >= 0``, and ``kappa`` is a finite number ``>= 1``.
 
-    Errors name ``source`` and the field, prefixed with ``prefix``.  Each
-    key must be present.
+    Errors name ``source`` and the field, prefixed with ``prefix``.
     """
     def check(field, low, integer=True):
         return check_number(f"{source} '{prefix}{field}'", entry[field], low, integer=integer)
 
     example4 = entry.get("type") == "example4"
+    missing = [key for key in (("s",) if example4 else ("n", "kappa", "s", "seed"))
+               if key not in entry]
+    if missing:
+        name = f"'{prefix[:-1]}'" if prefix else "instance"
+        raise DataError(f"{source} {name} lacks {', '.join(map(repr, missing))}; an instance "
+                        "needs 'type': 'example4' with 's', or 'n', 'kappa', 's' and 'seed'")
     n = 2 if example4 else check("n", 2)  # the worked example is 2-D
     if check("s", 1) >= n:
         raise DataError(f"{source} '{prefix}s' must be below n={n}, got {entry['s']}")
     if not example4:
         check("kappa", 1, integer=False)
         check("seed", 0)
+
+
+def read_json(path):
+    """The JSON document in ``path``; a syntax error raises :class:`DataError`
+    naming ``path:line:col``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+def write_json(path, doc, **layout):
+    """Write ``doc`` to ``path`` as JSON with sorted keys, ``layout`` passed
+    to :func:`json.dump`, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, **layout)
+        fh.write("\n")
+
+
+def read_table(path):
+    """A CSV file as ``(header, [(line, cells), ...])``, one entry per data row.
+
+    ``line`` is the row's 1-based record number, the header being 1.  An
+    empty file, or a row whose cell count differs from the header's, raises
+    :class:`DataError` naming ``path:line``.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}:1: empty file, expected a header row")
+        rows = list(enumerate(reader, start=2))
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise DataError(f"{path}:{line}: expected {len(header)} cells, got {len(cells)}")
+    return header, rows
+
+
+def parse_cell(path, line, column, cell) -> float:
+    """The text ``cell`` of ``column`` as a finite float; otherwise
+    :class:`DataError` naming ``path:line``, the cell and the column."""
+    try:
+        if math.isfinite(value := float(cell)):
+            return value
+    except ValueError:
+        pass
+    raise DataError(f"{path}:{line}: cell {cell!r} in column {column!r} is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -202,38 +256,22 @@ def load_dataset(path, label_column: str):
     count reported as a warning.  Feature columns are standardized to zero
     mean and unit population standard deviation; a constant column becomes
     all zeros (with a warning).  Labels may be {0, 1} (mapped to {-1, +1})
-    or already {-1, +1}.  Any other cell content raises :class:`DataError`
-    with its row and column.
+    or already {-1, +1}.  Every other cell must be a finite number, or
+    :class:`DataError` names its row and column.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataError(f"{path}: no column named {label_column!r} in header")
-        label_idx = header.index(label_column)
-        rows = []
-        dropped = 0
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}")
-            cells = [c.strip() for c in raw]
-            if any(c.lower() in _MISSING for c in cells):
-                dropped += 1
-                continue
-            parsed = []
-            for col, cell in zip(header, cells):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}"
-                    ) from None
-            rows.append(parsed)
+    header, table = read_table(path)
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise DataError(f"{path}: no column named {label_column!r} in header")
+    label_idx = header.index(label_column)
+    rows = []
+    dropped = 0
+    for line, raw in table:
+        cells = [c.strip() for c in raw]
+        if any(c.lower() in _MISSING for c in cells):
+            dropped += 1
+            continue
+        rows.append([parse_cell(path, line, col, cell) for col, cell in zip(header, cells)])
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing values", stacklevel=2)
     if not rows:
@@ -269,7 +307,6 @@ def save_instance(path, inst, s: int) -> None:
     "Q1", "Q2", "c1", "c2"}`` with matrices row-major and full.  The worked
     example serializes as ``{"type": "example4", "s"}``.
     """
-    path = Path(path)
     if inst == "example4":
         doc = {"type": "example4", "s": int(s)}
     else:
@@ -284,9 +321,7 @@ def save_instance(path, inst, s: int) -> None:
             "c1": inst.c1.tolist(),
             "c2": inst.c2.tolist(),
         }
-    with path.open("w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc, separators=(",", ":"))
 
 
 def _quadratic_from_doc(path, doc):
@@ -298,14 +333,14 @@ def _quadratic_from_doc(path, doc):
     the solvers rely on, so it may not undercut the largest eigenvalue of either
     ``Q_j`` (beyond a relative 1e-9).  Violations raise :class:`DataError`.
     """
+    check_instance_entry(doc, f"{path}:")
+    n, s, kappa, seed = doc["n"], doc["s"], float(doc["kappa"]), doc["seed"]
     try:
-        n, s, kappa, seed = doc["n"], doc["s"], float(doc["kappa"]), doc["seed"]
         arrays = {name: np.array(doc[name], dtype=float) for name in ("Q1", "Q2", "c1", "c2")}
     except KeyError as exc:
         raise DataError(f"{path}: quadratic instance lacks {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed quadratic instance: {exc}") from None
-    check_instance_entry(doc, f"{path}:")
     for name, arr in arrays.items():
         shape = (n, n) if name.startswith("Q") else (n,)
         if arr.shape != shape:
@@ -329,9 +364,7 @@ def load_instance(path):
     document that breaks :func:`check_instance_entry` raises
     :class:`DataError` naming the file and the field.
     """
-    path = Path(path)
-    with path.open() as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "quadratic":
         inst, s = _quadratic_from_doc(path, doc)
@@ -340,8 +373,6 @@ def load_instance(path):
             "kappa": inst.kappa, "seed": inst.seed, "family": "quadratic",
         }
     if kind == "example4":
-        if "s" not in doc:
-            raise DataError(f"{path}: example4 instance lacks 's'")
         check_instance_entry(doc, f"{path}:")
         return example_biobjective(), {
             "type": "example4", "n": 2, "s": doc["s"], "family": "quadratic"}

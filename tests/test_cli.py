@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsemoo.cli as cli
 from sparsemoo import is_L_stationary, load_instance
 from sparsemoo.cli import main, read_front_csv
+from sparsemoo.problems import read_table
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -162,11 +165,24 @@ class TestFront:
         assert {ln.split(",")[2] for ln in lines[1:]} <= {"1", "2"}
 
     def test_capacity_exit_code(self, tmp_path):
-        inst = tmp_path / "big.json"
-        assert run("generate", "--n", 30, "--kappa", 1, "--s", 15, "--seed", 0,
+        # Q1 = Q2 = I and c = 0 tie every support, so the screen fixes nothing
+        # and C(30, 15) supports are left to score
+        n, inst = 30, tmp_path / "ties.json"
+        eye, zero = np.eye(n).tolist(), [0.0] * n
+        inst.write_text(json.dumps({"type": "quadratic", "n": n, "kappa": 1.0, "seed": 0,
+                                    "s": 15, "Q1": eye, "Q2": eye, "c1": zero, "c2": zero}))
+        assert run("solve", "--instance", inst, "--strategy", "scalarized",
+                   "--n-starts", 1, "--out", tmp_path / "f.csv") == 3
+
+    def test_screened_grid_instance_solves(self, tmp_path):
+        # C(50, 15) is far above the support cap, but the screen leaves few rows
+        inst, out = tmp_path / "q.json", tmp_path / "f.csv"
+        assert run("generate", "--n", 50, "--kappa", 10, "--s", 15, "--seed", 0,
                    "--out", inst) == 0
         assert run("solve", "--instance", inst, "--strategy", "moiht",
-                   "--n-starts", 1, "--out", tmp_path / "f.csv") == 3
+                   "--n-starts", 2, "--out", out) == 0
+        _, X, _ = read_front_csv(out)
+        assert np.all(np.count_nonzero(X, axis=1) <= 15)
 
     def test_deterministic(self, ex4, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -222,12 +238,61 @@ class TestFrontCsvValidation:
         ("f1,f2,support,x_1,x_2\n1.0,2.0,2|2,0.5,0.0\n", ":2:"),
         ("f1,f2,support,x_1,x_2\n1.0,2.0,2|1,0.5,0.0\n", ":2:"),
         ("f1,f2,support,x_1,x_2\n1.0,2.0,7,0.5,0.0\n", ":2:"),
+        ("f1,f2,support,x_1,x_2\n1.0,2.0,1,0.5,0.0\nnan,1.0,2,0.0,0.5\n",
+         ":3: cell 'nan' in column 'f1' is not a finite number"),
+        ("f1,f2,support,x_1,x_2\n1.0,inf,1,0.5,0.0\n", ":2: cell 'inf' in column 'f2'"),
+        ("f1,f2,support,x_1,x_2\n1.0,2.0,1,0.5,-inf\n", ":2: cell '-inf' in column 'x_2'"),
     ])
     def test_bad_front_csv_exits_1(self, tmp_path, capsys, text, where):
         path = tmp_path / "front.csv"
         path.write_text(text)
         assert run("metrics", "--front", f"A={path}", "--out", tmp_path / "m.csv") == 1
         assert f"{path}{where}" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+
+class TestInputFiles:
+    """Malformed input files exit 1, name the file and write nothing."""
+
+    def test_malformed_manifest_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"instances": [\n  {"type": }]}\n')
+        assert run("reproduce", path) == 1
+        assert f"{path}:2:12: Expecting value" in capsys.readouterr().err
+        assert not (tmp_path / "reproduce_out").exists()
+
+    def test_malformed_instance_json(self, tmp_path, capsys):
+        inst, out = tmp_path / "i.json", tmp_path / "f.csv"
+        inst.write_text('{"type": "example4", "s": 1,}\n')
+        assert run("front", "--instance", inst, "--out", out) == 1
+        assert f"{inst}:1:29: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_dataset_cell(self, tmp_path, capsys, recwarn):
+        data, out = tmp_path / "d.csv", tmp_path / "f.csv"
+        data.write_text("a,b,y\n1,2,0\n3,inf,1\n2,5,1\n4,1,0\n")
+        assert run("front", "--dataset", data, "--label-column", "y", "--s", 1,
+                   "--out", out) == 1
+        assert f"{data}:3: cell 'inf' in column 'b' is not a finite number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.text(st.characters(codec="ascii", exclude_characters="\x00")),
+             min_size=width, max_size=width),
+    st.lists(st.lists(st.text(st.sampled_from('a1 ,"\n\r.')),
+                      min_size=width, max_size=width), max_size=4))))
+def test_table_round_trip(tmp_path_factory, table):
+    # cells with commas, quotes and line breaks come back as written
+    header, rows = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    cli._write_table(path, header, rows)
+    got_header, got_rows = read_table(path)
+    assert got_header == header
+    assert got_rows == list(enumerate(rows, start=2))
 
 
 class TestMetricsAndProfiles:
@@ -336,7 +401,9 @@ class TestMetricsAndProfiles:
         ("solver,purity\nx,1.0\n", "lacks column(s) gamma_spread, delta_spread, hypervolume"),
         ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0,abc,0.5,1.0\n", ":2:"),
         ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0\n", ":2:"),
-    ], ids=["missing_columns", "non_numeric_cell", "short_row"])
+        ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0,1.0,0.5,1.0,9\n",
+         ":2: expected 5 cells, got 6"),
+    ], ids=["missing_columns", "non_numeric_cell", "short_row", "extra_cell"])
     def test_bad_metrics_csv_rejected(self, tmp_path, capsys, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)
@@ -344,6 +411,7 @@ class TestMetricsAndProfiles:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "p").exists()
 
 
 class TestReproduce:

@@ -267,6 +267,7 @@ class TestInstanceRoundTrip:
         (lambda doc: doc["Q1"][0].__setitem__(1, doc["Q1"][0][1] + 0.5), "not symmetric"),
         (lambda doc: doc.update(kappa=5.0), "below the largest eigenvalue"),
         (lambda doc: doc.pop("c1"), "lacks 'c1'"),
+        (lambda doc: doc.pop("seed"), "instance lacks 'seed'; an instance needs"),
         (lambda doc: doc.update(s=2.7), "'s' must be an integer >= 1, got 2.7"),
         (lambda doc: doc.update(s=True), "'s' must be an integer >= 1, got True"),
         (lambda doc: doc.update(s=4), "'s' must be below n=4, got 4"),
@@ -287,6 +288,12 @@ class TestInstanceRoundTrip:
         path = tmp_path / "e.json"
         path.write_text(json.dumps({"type": "example4", "s": s}))
         with pytest.raises(DataError, match=re.escape(f"{path}: 's' must be")):
+            load_instance(path)
+
+    def test_example4_without_budget_rejected(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text('{"type": "example4"}')
+        with pytest.raises(DataError, match=re.escape(f"{path}: instance lacks 's'; an instance")):
             load_instance(path)
 
     def test_generated_instances_load_unchanged(self, tmp_path):
