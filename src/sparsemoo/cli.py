@@ -12,7 +12,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,18 +172,6 @@ def _load_problem(args):
     raise ValueError("one of --instance or --dataset is required")
 
 
-def _config_for(problem, info, eps=None, solver_budget=None, tau0=None):
-    overrides = {}
-    if eps is not None:
-        overrides["eps"] = eps
-    if solver_budget is not None:
-        overrides["max_iter"] = solver_budget
-    cfg = default_config(problem, family=info["family"], **overrides)
-    if tau0 is not None:
-        cfg = replace(cfg, penalty=replace(cfg.penalty, tau0=tau0))
-    return cfg
-
-
 def _default_box(info):
     return (0.0, 1.0) if info["family"] == "logistic" else (-2.0, 2.0)
 
@@ -248,7 +235,11 @@ def cmd_generate(args) -> int:
         if not args.out_dir:
             raise ValueError("--out-dir is required with --benchmark-grid")
         out_dir = Path(args.out_dir)
-        seeds = [int(v) for v in args.seeds.split(",")]
+        try:
+            seeds = [int(v) for v in args.seeds.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         entries = [{"n": n, "kappa": kappa, "s": s, "seed": seed}
                    for n, s_choices in BENCHMARK_GRID.items() for kappa in BENCHMARK_KAPPAS
                    for s in s_choices for seed in seeds]
@@ -276,7 +267,8 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     problem, info = _load_problem(args)
     s = info["s"]
-    cfg = _config_for(problem, info, args.eps, args.solver_budget, args.tau0)
+    cfg = default_config(problem, info["family"], eps=args.eps, max_iter=args.solver_budget,
+                         tau0=args.tau0)
     deadline_solve, deadline_refine = _deadlines(args.wallclock)
     points, iteration_counts = solve_starts(
         problem, s, args.strategy, args.n_starts, args.seed,
@@ -288,15 +280,13 @@ def cmd_solve(args) -> int:
         sup = support(x)
         # refine on the point's own support, zeros stay fixed
         if sup.size and (deadline_refine is None or time.monotonic() <= deadline_refine):
-            J = SupportSet(tuple(int(i) for i in sup), problem.n)
-            x = mosd(problem, x, J, cfg.eps, cfg)
+            x = mosd(problem, x, SupportSet.from_iterable(sup, problem.n), cfg.eps, cfg)
         if not np.all(np.isfinite(x)):
             continue
         fv = np.asarray(problem.evaluate(x), dtype=float)
         if not np.all(np.isfinite(fv)):
             continue
-        sup = tuple(int(i) for i in support(x))
-        rows.append((fv, x, SupportSet(sup, problem.n)))
+        rows.append((fv, x, SupportSet.from_iterable(support(x), problem.n)))
     rows = _nondominated(rows, "no finite solver outputs to report")
     return _write_front(args, problem, info, cfg, rows, max_iter=cfg.max_iter,
                         tau0=cfg.penalty.tau0, iteration_counts=iteration_counts,
@@ -305,7 +295,8 @@ def cmd_solve(args) -> int:
 
 def cmd_front(args) -> int:
     problem, info = _load_problem(args)
-    cfg = _config_for(problem, info, args.eps, args.solver_budget, args.tau0)
+    cfg = default_config(problem, info["family"], eps=args.eps, max_iter=args.solver_budget,
+                         tau0=args.tau0)
     final, rows = _run_front(
         problem, info, args.strategy, args.n_starts, args.seed, cfg, args.budget,
         args.wallclock, crowding=args.crowding, explore_spacing=args.explore_spacing,
@@ -391,9 +382,14 @@ def _read_metrics_csv(path):
 
 
 def _write_profiles(tables, out_dir):
-    """Per-metric profile CSVs over ``{problem: metric table rows}``."""
+    """Per-metric profile CSVs over ``{problem: metric table rows}``.
+
+    Every profile is built before any file is written, so a metric whose
+    values a profile rejects leaves no file behind; its error names the metric.
+    """
     solvers = sorted({solver for rows in tables.values() for solver, _ in rows})
     problems = sorted(tables)
+    profiles = []
     for k, (metric, higher) in enumerate(METRICS):
         V = np.full((len(problems), len(solvers)), np.nan)
         for i, prob in enumerate(problems):
@@ -404,7 +400,12 @@ def _write_profiles(tables, out_dir):
                     continue  # zero score = failure under the inversion rule
                 if np.isfinite(val):
                     V[i, j] = val
-        curves = performance_profiles(V, higher_is_better=higher, solvers=solvers)
+        try:
+            curves = performance_profiles(V, higher_is_better=higher, solvers=solvers)
+        except ValueError as exc:
+            raise DataError(f"{metric} profile: {exc}") from None
+        profiles.append((metric, curves))
+    for metric, curves in profiles:
         _write_table(Path(out_dir) / f"{metric}_profile.csv", ["solver", "tau", "rho"],
                      ([curve.solver, repr(float(t)), repr(float(r))]
                       for curve in curves for t, r in zip(curve.taus, curve.rhos)))
@@ -426,36 +427,37 @@ def cmd_profiles(args) -> int:
 def _load_manifest(path):
     """The manifest JSON, with its defaults filled in and every value checked."""
     manifest = read_json(path)
+    source = f"{path}: manifest"
     if not isinstance(manifest, dict):
-        raise DataError("manifest must be a JSON object")
+        raise DataError(f"{source} must be a JSON object")
     instances = manifest.get("instances")
     if not isinstance(instances, list) or not instances:
-        raise DataError("manifest 'instances' must be a non-empty list")
+        raise DataError(f"{source} 'instances' must be a non-empty list")
     for i, entry in enumerate(instances):
         if not isinstance(entry, dict):
-            raise DataError(f"manifest 'instances[{i}]' must be an object")
+            raise DataError(f"{source} 'instances[{i}]' must be an object")
         if "path" in entry:
             if not isinstance(entry["path"], str):
                 raise DataError(
-                    f"manifest 'instances[{i}].path' must be a string, got {entry['path']!r}")
+                    f"{source} 'instances[{i}].path' must be a string, got {entry['path']!r}")
             continue
         if entry.get("type") != "example4":
             entry.setdefault("seed", 0)
-        check_instance_entry(entry, "manifest", f"instances[{i}].")
+        check_instance_entry(entry, source, f"instances[{i}].")
     strategies = manifest.setdefault("strategies", ["mohyb"])
     if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
-        raise DataError(f"manifest 'strategies' must be a list drawn from {list(STRATEGIES)}")
+        raise DataError(f"{source} 'strategies' must be a list drawn from {list(STRATEGIES)}")
     run_seeds = manifest.setdefault("run_seeds", [0])
     if not isinstance(run_seeds, list):
-        raise DataError("manifest 'run_seeds' must be a list of integers")
+        raise DataError(f"{source} 'run_seeds' must be a list of integers")
     for r, run_seed in enumerate(run_seeds):
-        check_number(f"manifest 'run_seeds[{r}]'", run_seed, 0, integer=True)
+        check_number(f"{source} 'run_seeds[{r}]'", run_seed, 0, integer=True)
     for key, default, minimum in (("seed", 0, 0), ("n_starts", 10, 1),
                                   ("sfsd_budget", 10, 1), ("solver_budget", 10_000, 1)):
-        check_number(f"manifest '{key}'", manifest.setdefault(key, default), minimum, integer=True)
+        check_number(f"{source} '{key}'", manifest.setdefault(key, default), minimum, integer=True)
     out_dir = manifest.setdefault("out_dir", str(path.parent / "reproduce_out"))
     if not isinstance(out_dir, str):
-        raise DataError(f"manifest 'out_dir' must be a string, got {out_dir!r}")
+        raise DataError(f"{source} 'out_dir' must be a string, got {out_dir!r}")
     return manifest
 
 
@@ -484,7 +486,7 @@ def cmd_reproduce(args) -> int:
     # Runs go serially in manifest order: instance, strategy, run seed.
     by_instance: dict = {}
     for ii, (path, (problem, info)) in enumerate(zip(inst_files, loaded)):
-        cfg = _config_for(problem, info, solver_budget=manifest["solver_budget"])
+        cfg = default_config(problem, info["family"], max_iter=manifest["solver_budget"])
         for si, strategy in enumerate(strategies):
             for run_seed in run_seeds:
                 seed = np.random.SeedSequence(
@@ -557,6 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--wallclock", type=float, default=None,
                         help="wall-clock limit in seconds, split across phases "
                              "(non-deterministic benchmark parity mode)")
+        sp.add_argument("--strategy", default="mohyb", choices=STRATEGIES,
+                        help="solver strategy for the multi-start (front's phase one)")
+        sp.add_argument("--n-starts", type=int, default=10, help="number of starts")
+        sp.add_argument("--out", required=True, help="output front CSV")
 
     gen = sub.add_parser("generate", help="write benchmark instance files")
     gen.add_argument("--n", type=int, default=None, help="dimension")
@@ -575,25 +581,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="multi-start single-point solver with refinement")
     add_common_problem_flags(solve)
-    solve.add_argument("--strategy", default="mohyb",
-                       choices=STRATEGIES)
-    solve.add_argument("--n-starts", type=int, default=10, help="number of starts")
-    solve.add_argument("--out", required=True, help="output front CSV")
     solve.set_defaults(func=cmd_solve)
 
     front = sub.add_parser("front", help="two-phase front approximation")
     add_common_problem_flags(front)
-    front.add_argument("--strategy", default="mohyb",
-                       choices=STRATEGIES,
-                       help="phase-one initialization strategy")
-    front.add_argument("--n-starts", type=int, default=10, help="number of starts")
     front.add_argument("--budget", type=int, default=20, help="front descent sweeps")
     front.add_argument("--crowding", default="mean", choices=["off", "mean", "quantile"],
                        help="exploration crowding filter")
     front.add_argument("--explore-spacing", type=float, default=5e-3,
                        help="relative objective-space spacing floor for "
                             "exploration insertions (0 = literal rule)")
-    front.add_argument("--out", required=True, help="output front CSV")
     front.set_defaults(func=cmd_front)
 
     met = sub.add_parser("metrics", help="front-quality metrics against a reference")

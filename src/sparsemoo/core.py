@@ -81,7 +81,7 @@ class SupportSet:
 
     Indices are kept 0-based internally; serialized output (CSV columns)
     uses 1-based indices.  Instances are immutable and hashable, so they can
-    key archives and be shared across concurrent tasks.
+    key archives.
     """
 
     indices: tuple
@@ -134,9 +134,6 @@ class MultiObjectiveProblem:
         ``x -> (m, n) array``; row ``j`` is the gradient of objective ``j``.
     lipschitz : (m,) array
         Per-objective gradient Lipschitz constants, all positive.
-
-    The oracle callables must be pure (no shared mutable state) so that a
-    single problem instance can be evaluated from concurrent tasks.
     """
 
     n: int

@@ -147,7 +147,17 @@ def _with_fixed(fixed, rows) -> np.ndarray:
         [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1)
 
 
-def _screen(grads, x, L, fixed, free, k, offsets):
+def _offsets(grads, x, L, K) -> np.ndarray:
+    """The (m, N) affine offsets ``b_j = grad_j^T c + (L/2)||c||^2`` of a block
+    ``K`` of sorted rows, ``c = -x`` off the row (the move pinned there)."""
+    xK = x[K]
+    c2 = float(x @ x) - np.einsum("ij,ij->i", xK, xK)  # ||x_{complement}||^2 per support
+    P = grads @ x  # (m,)
+    return np.stack([-(P[j] - np.einsum("ij,ij->i", grads[j][K], xK)) + 0.5 * L * c2
+                     for j in range(grads.shape[0])])
+
+
+def _screen(grads, x, L, fixed, free, k):
     """Shrink the search for size-k subsets E of ``free`` (rows ``fixed ∪ E``).
 
     For dual weights lam and ``g = lam @ grads``, every support K has
@@ -178,7 +188,7 @@ def _screen(grads, x, L, fixed, free, k, offsets):
     E = np.argpartition(-Rf, k - 1, axis=1)[:, :k]
     top = _with_fixed(fixed, np.sort(free[E], axis=1))
     top = np.array(sorted(set(map(tuple, top.tolist()))), dtype=np.intp)
-    U = float(np.min(_thetas(grads, top, L, offsets(top))))
+    U = float(np.min(_thetas(grads, top, L, _offsets(grads, x, L, top))))
     A = np.abs(grads).max(axis=0)
     # relative rounding margin, on the magnitudes that enter bound and values
     tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(U))
@@ -188,13 +198,13 @@ def _screen(grads, x, L, fixed, free, k, offsets):
     return fixed, free[keep_free], k - int(keep_in.sum())
 
 
-def _best_support(grads, x, L, s, fixed, offsets) -> SupportSet:
-    """Lexicographically first size-s superset of ``fixed`` minimizing :func:`_thetas`.
+def _best_support(grads, x, L, s, fixed) -> SupportSet:
+    """Lexicographically first size-s superset of ``fixed`` minimizing
+    :func:`_thetas` with the :func:`_offsets` of each row.
 
-    ``offsets(K)`` gives the (m, N) affine offsets for a block ``K`` of
-    sorted rows.  Above ``_SCREEN_MIN`` candidates :func:`_screen` first
-    narrows them; the rows it keeps are still scored in lexicographic order,
-    so the returned support is the one a full enumeration returns.  Raises
+    Above ``_SCREEN_MIN`` candidates :func:`_screen` first narrows them; the
+    rows it keeps are still scored in lexicographic order, so the returned
+    support is the one a full enumeration returns.  Raises
     :class:`CapacityError` when more than ``MAX_SUPPORTS`` rows are left to
     score after the screen.
     """
@@ -205,7 +215,7 @@ def _best_support(grads, x, L, s, fixed, offsets) -> SupportSet:
     k = s - fixed.size
     # a single candidate (k = 0, or all of free) needs no screen
     if math.comb(free.size, k) > max(_SCREEN_MIN, 1):
-        fixed, free, k = _screen(grads, x, L, fixed, free, k, offsets)
+        fixed, free, k = _screen(grads, x, L, fixed, free, k)
     total = math.comb(free.size, k)
     if total > MAX_SUPPORTS:
         raise CapacityError(f"scoring {total} supports exceeds the cap {MAX_SUPPORTS}; "
@@ -213,7 +223,7 @@ def _best_support(grads, x, L, s, fixed, offsets) -> SupportSet:
     best_theta, best_K = np.inf, None
     for E in _support_chunks(free.size, k):
         K = _with_fixed(fixed, free[E])
-        thetas = _thetas(grads, K, L, offsets(K))
+        thetas = _thetas(grads, K, L, _offsets(grads, x, L, K))
         i = int(np.argmin(thetas))
         if thetas[i] < best_theta:
             best_theta, best_K = float(thetas[i]), K[i]
@@ -274,9 +284,8 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
     """
     x, s = check_point(x, s, p.n)
     grads = np.asarray(p.gradient(x), dtype=float)
-    # theta_L's search at the origin (no offsets), L = 1, support of x forced in
-    best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x),
-                           lambda K: np.zeros((p.m, K.shape[0])))
+    # theta_L's search at the origin (zero offsets), L = 1, support of x forced in
+    best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x))
     sol = _subspace_direction(grads, None, best_J.as_array())
     return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
 
@@ -297,18 +306,7 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     x, s = check_point(x, s, p.n)
     check_number("L", L, 0, open_low=True)
     grads = np.asarray(p.gradient(x), dtype=float)
-    X2 = float(x @ x)
-    P = grads @ x  # (m,)
-
-    def offsets(K):
-        xK = x[K]
-        c2 = X2 - np.einsum("ij,ij->i", xK, xK)  # ||x_{complement}||^2 per support
-        return np.stack([
-            -(P[j] - np.einsum("ij,ij->i", grads[j][K], xK)) + 0.5 * L * c2
-            for j in range(p.m)
-        ])
-
-    best_K = _best_support(grads, x, L, s, np.array([], dtype=np.intp), offsets)
+    best_K = _best_support(grads, x, L, s, np.array([], dtype=np.intp))
     cols = best_K.as_array()
     comp = list(best_K.complement())
     d_full = np.zeros(p.n)

@@ -434,9 +434,9 @@ def _refine_archive(p, work: ParetoArchive, cfg: SolverConfig):
     for entry in work.entries():
         if not work.contains(entry):
             continue
-        if theta_subspace(p, entry.x, entry.J).theta > -FINAL_EPS:
-            continue
-        x_new = mosd(p, entry.x, entry.J, FINAL_EPS, cfg)
+        x_new = mosd(p, entry.x, entry.J, FINAL_EPS, cfg, entry.fvals)
+        if x_new.tobytes() == entry.x.tobytes():
+            continue  # already stationary, or no step passes Armijo
         work.remove(entry)
         work.insert(
             ArchiveEntry(x=x_new, J=entry.J, fvals=p.evaluate(x_new)),

@@ -75,11 +75,14 @@ class SolverConfig:
         check_number("max_iter", self.max_iter, 1, integer=True)
 
 
-def default_config(p: MultiObjectiveProblem, family: str = "quadratic", **overrides) -> SolverConfig:
+def default_config(p: MultiObjectiveProblem, family: str = "quadratic", *,
+                   eps: float | None = None, max_iter: int | None = None,
+                   tau0: float | None = None) -> SolverConfig:
     """Config with L = 1.1 * max_j L(f_j) and family-specific penalty schedule.
 
     ``family='quadratic'`` uses tau growth 1.5 with inner tolerance 1e-2;
-    ``family='logistic'`` uses 1.3 with 1e-5.
+    ``family='logistic'`` uses 1.3 with 1e-5.  ``eps``, ``max_iter`` and the
+    initial penalty weight ``tau0`` replace their defaults unless ``None``.
     """
     penalty = {
         "quadratic": PenaltyParams(tau_growth=1.5, eps0=1e-2),
@@ -87,8 +90,9 @@ def default_config(p: MultiObjectiveProblem, family: str = "quadratic", **overri
     }.get(family)
     if penalty is None:
         raise ValueError(f"unknown problem family {family!r}")
-    base = SolverConfig(L=1.1 * float(np.max(p.lipschitz)), penalty=penalty)
-    return replace(base, **overrides) if overrides else base
+    cfg = SolverConfig(L=1.1 * float(np.max(p.lipschitz)), penalty=penalty, **{
+        name: v for name, v in (("eps", eps), ("max_iter", max_iter)) if v is not None})
+    return cfg if tau0 is None else replace(cfg, penalty=replace(penalty, tau0=tau0))
 
 
 @dataclass
@@ -192,21 +196,23 @@ def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
 
 
 def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
-         cfg: SolverConfig) -> np.ndarray:
+         cfg: SolverConfig, fx: np.ndarray | None = None) -> np.ndarray:
     """Steepest common descent restricted to the index set ``J``.
 
     Iterates Armijo steps along the ``theta_subspace`` direction until the
     subspace measure exceeds ``-eps`` or the budget runs out.  Coordinates
     off ``J`` are never touched, so zeros there stay bit-exact zeros.
-    ``f(x0)`` is evaluated by the first line search only; after that each
-    search starts from the values of the step it accepted last, so the
-    objectives are evaluated once at ``x0`` plus once per trial step.
+    ``fx`` is ``f(x0)`` when the caller already holds it, as for
+    :func:`armijo_step`; ``None`` leaves it to the first line search.  After
+    that each search starts from the values of the step it accepted last, so
+    the objectives are evaluated at most once at ``x0`` plus once per trial
+    step.  A start it cannot move from comes back as an unchanged copy.
     """
     x0 = np.asarray(x0, dtype=float)
     J = J if isinstance(J, SupportSet) else SupportSet.from_iterable(J, p.n)
     if not J.contains_support_of(x0):
         raise ValueError("start point has nonzeros outside the fixed support")
-    x, fx = x0.copy(), None
+    x = x0.copy()
     for _ in range(cfg.max_iter):
         sol = theta_subspace(p, x, J)
         if sol.theta > -eps:

@@ -268,6 +268,37 @@ class TestInputFiles:
         assert f"{inst}:1:29: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_front_csv(self, tmp_path, capsys):
+        path, out = tmp_path / "bad.csv", tmp_path / "m.csv"
+        path.write_bytes(b"f1,f2,support,x_1,x_2\n1.0,2.0,1,\xff,0.0\n")
+        assert run("metrics", "--front", f"A={path}", "--out", out) == 1
+        assert f"{path}: byte 32 is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_instance_json(self, tmp_path, capsys):
+        inst, out = tmp_path / "i.json", tmp_path / "f.csv"
+        inst.write_bytes(b'{"type": "example4", "s": \xff}\n')
+        assert run("front", "--instance", inst, "--out", out) == 1
+        assert f"{inst}: byte 26 is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "manifest must be a JSON object"),
+        ({"instances": []}, "manifest 'instances' must be a non-empty list"),
+    ], ids=["list", "no_instances"])
+    def test_manifest_shape_error_names_file(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run("reproduce", path) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["m.json"]
+
+    def test_bad_grid_seeds_named(self, tmp_path, capsys):
+        out_dir = tmp_path / "grid"
+        assert run("generate", "--benchmark-grid", "--out-dir", out_dir, "--seeds", "1,x") == 1
+        assert "--seeds must be comma-separated integers, got '1,x'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_nonfinite_dataset_cell(self, tmp_path, capsys, recwarn):
         data, out = tmp_path / "d.csv", tmp_path / "f.csv"
         data.write_text("a,b,y\n1,2,0\n3,inf,1\n2,5,1\n4,1,0\n")
@@ -371,6 +402,20 @@ class TestMetricsAndProfiles:
         s1 = [ln for ln in rows if ln.startswith("S1")]
         # S1 failed the only problem: its curve never rises above zero
         assert all(float(ln.split(",")[2]) == 0.0 for ln in s1)
+
+    def test_rejected_profile_writes_no_file(self, tmp_path, capsys):
+        # a zero spread breaks the profile ratios; purity comes first in
+        # METRICS, so a writer that wrote as it went would leave its file
+        path = tmp_path / "p1.csv"
+        path.write_text(
+            "solver,purity,gamma_spread,delta_spread,hypervolume\n"
+            "S1,1.0,0.0,0.5,1.0\nS2,1.0,1.0,0.5,1.0\n"
+        )
+        out_dir = tmp_path / "profiles"
+        assert run("profiles", "--metrics-csv", path, "--out-dir", out_dir) == 1
+        assert "gamma_spread profile: profile values must be strictly positive" \
+            in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_reproduce_profiles_match_profiles_command(self, tmp_path):
         # reproduce builds profiles from its tables in memory; the profiles
@@ -525,7 +570,8 @@ class TestReproduce:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"out_dir": str(out_dir), **manifest}))
         assert run("reproduce", path) == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and f"{path}: manifest" in err
         assert not out_dir.exists()  # rejected before any work starts
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from sparsemoo.problems import _power_spectral_norm
 from oracles import fd_gradient, reference_logistic_values
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestQuadraticGenerator:
@@ -79,6 +83,26 @@ class TestExampleProblem:
         fd = fd_gradient(p, np.array([0.7, -1.3]))
         np.testing.assert_allclose(p.gradient(np.array([0.7, -1.3])), fd,
                                    rtol=1e-6, atol=1e-7)
+
+
+def test_scipy_loads_only_with_a_logistic_problem():
+    # a fresh interpreter: this test session may have loaded scipy already
+    script = """
+import sys
+import numpy as np
+from sparsemoo import default_config, generate_quadratic, initialize, logistic_problem, sfsd_run
+p = generate_quadratic(6, 10.0, 0).problem()
+cfg = default_config(p)
+sfsd_run(p, initialize(p, 2, "moiht", 2, 0, (-2.0, 2.0), cfg), 2, cfg, 1)
+assert "scipy" not in sys.modules, "a quadratic front loaded scipy"
+logistic_problem(np.eye(2), np.array([1.0, -1.0]))
+assert "scipy" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestLogistic:

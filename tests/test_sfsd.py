@@ -251,6 +251,27 @@ class TestSfsdRun:
             assert theta_subspace(p, e.x, e.J).theta >= -1e-4
         out.check_invariants()
 
+    def test_refinement_reuses_cached_values(self, example_problem):
+        # budget 0: only the closing refinement runs; it starts mosd from each
+        # entry's cached fvals and keeps an entry it cannot move as it is
+        seen = []
+
+        def ev(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return example_problem.evaluate(x)
+
+        p = MultiObjectiveProblem(n=2, m=2, evaluate=ev, gradient=example_problem.gradient,
+                                  lipschitz=example_problem.lipschitz)
+        J0, J1 = SupportSet((0,), 2), SupportSet((1,), 2)
+        moving, still = entry(p, [0.2, 0.0], J0), entry(p, [0.0, 1.0], J1)
+        seen.clear()
+        out = sfsd_run(p, ParetoArchive.from_entries([moving, still]), 1,
+                       SolverConfig(L=1.0), budget=0)
+        assert moving.x.tobytes() not in seen and still.x.tobytes() not in seen
+        assert out.group(J1)[0] is still
+        assert not out.contains(moving)
+        assert theta_subspace(p, out.group(J0)[0].x, J0).theta > -1e-4
+
     def test_budget_zero_only_refines(self, example_problem):
         p = example_problem
         arch = ParetoArchive.from_entries([

@@ -234,6 +234,17 @@ class TestMosd:
             searches += len(seen) - len(lean) + 1
         assert searches > 3 * len(cases)
 
+    def test_given_fx_spares_the_start_evaluation(self):
+        for p, x0, J in random_descent_cases(24, count=3):
+            cfg = replace(default_config(p), max_iter=300)
+            rp, seen = recording(p)
+            out = mosd(rp, x0, J, 1e-7, cfg)
+            lean = list(seen)
+            seen.clear()
+            given = mosd(rp, x0, J, 1e-7, cfg, np.asarray(p.evaluate(x0), dtype=float))
+            assert given.tobytes() == out.tobytes()
+            assert lean[0] == x0.tobytes() and seen == lean[1:]
+
     def test_stationary_start_unchanged(self, example_problem):
         cfg = SolverConfig(L=1.0)
         x = mosd(example_problem, np.array([2.0, 0.0]), SupportSet((0,), 2), 1e-7, cfg)
@@ -364,6 +375,18 @@ class TestConfigs:
         assert lg.penalty.tau_growth == 1.3 and lg.penalty.eps0 == 1e-5
         with pytest.raises(ValueError):
             default_config(example_problem, family="other")
+
+    def test_default_config_settings(self, example_problem):
+        cfg = default_config(example_problem, "logistic", eps=1e-9, max_iter=7, tau0=2.0)
+        assert (cfg.eps, cfg.max_iter, cfg.penalty.tau0) == (1e-9, 7, 2.0)
+        assert cfg.penalty.tau_growth == 1.3 and cfg.penalty.eps0 == 1e-5
+        kept = default_config(example_problem, eps=None, max_iter=None, tau0=None)
+        assert kept == default_config(example_problem)
+        assert (kept.eps, kept.max_iter, kept.penalty.tau0) == (1e-7, 10_000, 1.0)
+        with pytest.raises(ValueError, match="tau0"):
+            default_config(example_problem, tau0=0.0)
+        with pytest.raises(TypeError):
+            default_config(example_problem, L=3.0)  # only family, eps, max_iter, tau0
 
     def test_validation(self):
         with pytest.raises(ValueError):
