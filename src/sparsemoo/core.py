@@ -7,6 +7,7 @@ here always called ``Omega``; :func:`check_point` validates a point of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -46,14 +47,19 @@ def check_number(name, value, low, high=math.inf, *, integer=False, open_low=Fal
     return value
 
 
+def _nonzero(x) -> np.ndarray:
+    """Mask of the components of ``x`` read as nonzero, ``|x_i| > ZERO_TOL``."""
+    return np.abs(np.asarray(x, dtype=float)) > ZERO_TOL
+
+
 def support(x: np.ndarray) -> np.ndarray:
     """Indices of the nonzero components of ``x`` (0-based, sorted)."""
-    return np.flatnonzero(np.abs(np.asarray(x, dtype=float)) > ZERO_TOL)
+    return np.flatnonzero(_nonzero(x))
 
 
 def l0_norm(x: np.ndarray) -> int:
     """Number of nonzero components of ``x``."""
-    return int(support(x).size)
+    return int(np.count_nonzero(_nonzero(x)))
 
 
 def check_budget(s: int, n: int) -> int:
@@ -101,15 +107,26 @@ class SupportSet:
     def from_iterable(cls, indices: Iterable[int], n: int) -> "SupportSet":
         return cls(tuple(sorted(set(int(i) for i in indices))), n)
 
+    @functools.cached_property
+    def _index_array(self) -> np.ndarray:
+        arr = np.array(self.indices, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
+
     def as_array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.intp)
+        """The indices as a read-only ``intp`` array, built once per set."""
+        return self._index_array
 
     def complement(self) -> tuple:
         inside = set(self.indices)
         return tuple(i for i in range(self.n) if i not in inside)
 
     def contains_support_of(self, x: np.ndarray) -> bool:
-        return set(support(x)) <= set(self.indices)
+        """True iff every index of :func:`support` ``(x)`` is in the set."""
+        outside = _nonzero(x).ravel()
+        idx = self.as_array()
+        outside[idx[idx < outside.size]] = False
+        return not outside.any()
 
     def to_1based(self) -> tuple:
         return tuple(i + 1 for i in self.indices)

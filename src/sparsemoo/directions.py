@@ -12,10 +12,10 @@ convex min-max direction subproblems:
 
 The last two minimize an on-support value over size-s supports.  One kernel
 (:func:`_best_support`) finds the lexicographically first minimizer: past
-``_SCREEN_MIN`` candidates a Lagrangian bound (:func:`_screen`) first fixes
-coordinates in or out of every minimizer, and only the supports that respect
-those fixings are scored (at most ``MAX_SUPPORTS``), in the same order and
-by the same arithmetic.
+:func:`_screen_min` candidates a Lagrangian bound (:func:`_screen`) first
+fixes coordinates in or out of every minimizer, and only the supports that
+respect those fixings are scored (at most ``MAX_SUPPORTS``), in the same
+order and by the same arithmetic.
 """
 
 from __future__ import annotations
@@ -39,12 +39,19 @@ from .core import (
 from .simplex_qp import DirectionSolution, solve_simplex_qp
 
 # Enumerations up to _CACHE_LIMIT rows are built once and cached; larger ones
-# stream in blocks of _CHUNK rows.  Searches over more than _SCREEN_MIN
-# supports are screened first; below it the bound costs more than scoring
-# every support.
+# stream in blocks of _CHUNK rows.
 _CHUNK = 131_072
 _CACHE_LIMIT = 100_000
-_SCREEN_MIN = 2_000
+
+
+def _screen_min(m: int) -> int:
+    """Searches over more than this many supports are screened first.
+
+    With m <= 2 objectives every support is scored in closed form, and below
+    2,000 of them the bound costs more than scoring them all.  With m >= 3
+    each support costs one simplex-QP solve, so the screen always pays.
+    """
+    return 2_000 if m <= 2 else 0
 
 
 @dataclass(frozen=True)
@@ -89,21 +96,28 @@ def _support_chunks(n: int, k: int):
         yield _index_rows(combos, min(_CHUNK, total - start), k)
 
 
-def _thetas(grads, K, L, B) -> np.ndarray:
-    """Optimal value of the on-support subproblem for each row of ``K``.
+def _scores(grads, x, L, K) -> np.ndarray:
+    """Optimal value of the on-support subproblem at ``x`` for each row of ``K``.
 
-    Row i solves ``min_d max_j grads_j[K_i]^T d + B[j, i] + (L/2)||d||^2``
+    Off row i the move is pinned to ``d = -x``, which adds the affine
+    offsets ``b_j = grad_j^T c + (L/2)||c||^2`` (``c = -x`` off the row);
+    row i then solves ``min_d max_j grads_j[K_i]^T d + b_j + (L/2)||d||^2``
     through its simplex dual: closed form for m <= 2, one
     :func:`solve_simplex_qp` per row otherwise.
     """
     m = grads.shape[0]
+    GK = [g[K] for g in grads]  # gathered once, for the offsets and the values
+    xK = x[K]
+    c2 = x.dot(x) - np.einsum("ij,ij->i", xK, xK)  # ||x_{complement}||^2 per support
+    P = grads.dot(x)  # (m,)
+    half = 0.5 * L * c2
+    B = [-(P[j] - np.einsum("ij,ij->i", G, xK)) + half for j, G in enumerate(GK)]
     if m == 1:
-        G = grads[0][K]
+        G = GK[0]
         return B[0] - np.einsum("ij,ij->i", G, G) / (2.0 * L)
     if m == 2:
         b1, b2 = B
-        G1 = grads[0][K]
-        G2 = grads[1][K]
+        G1, G2 = GK
         U = G1 - G2
         uu = np.einsum("ij,ij->i", U, U)
         g2u = np.einsum("ij,ij->i", G2, U)
@@ -115,7 +129,7 @@ def _thetas(grads, K, L, B) -> np.ndarray:
         q = (t * t * uu + 2.0 * t * g2u + g22) / (2.0 * L) - (t * b1 + (1.0 - t) * b2)
         return -q
     return np.array([solve_simplex_qp(grads[:, row].T, b=b, L=L).theta
-                     for row, b in zip(K, B.T)])
+                     for row, b in zip(K, np.stack(B).T)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,16 +161,6 @@ def _with_fixed(fixed, rows) -> np.ndarray:
         [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1)
 
 
-def _offsets(grads, x, L, K) -> np.ndarray:
-    """The (m, N) affine offsets ``b_j = grad_j^T c + (L/2)||c||^2`` of a block
-    ``K`` of sorted rows, ``c = -x`` off the row (the move pinned there)."""
-    xK = x[K]
-    c2 = float(x @ x) - np.einsum("ij,ij->i", xK, xK)  # ||x_{complement}||^2 per support
-    P = grads @ x  # (m,)
-    return np.stack([-(P[j] - np.einsum("ij,ij->i", grads[j][K], xK)) + 0.5 * L * c2
-                     for j in range(grads.shape[0])])
-
-
 def _screen(grads, x, L, fixed, free, k):
     """Shrink the search for size-k subsets E of ``free`` (rows ``fixed ∪ E``).
 
@@ -167,7 +171,7 @@ def _screen(grads, x, L, fixed, free, k):
     :func:`_lambda_grid`, this bounds from below every support that contains
     coordinate i (``S - r_i - top_{k-1}(r without i)``) and every one that
     leaves it out (``S - top_k(r without i)``).  The incumbent U is the best
-    :func:`_thetas` value over the top-k sets of the lattice.  A coordinate
+    :func:`_scores` value over the top-k sets of the lattice.  A coordinate
     whose "in" bound exceeds U plus a rounding margin is in no minimizer and
     is dropped; one whose "out" bound does is in every minimizer and joins
     ``fixed``.  Returns the new ``(fixed, free, k)``.
@@ -188,7 +192,7 @@ def _screen(grads, x, L, fixed, free, k):
     E = np.argpartition(-Rf, k - 1, axis=1)[:, :k]
     top = _with_fixed(fixed, np.sort(free[E], axis=1))
     top = np.array(sorted(set(map(tuple, top.tolist()))), dtype=np.intp)
-    U = float(np.min(_thetas(grads, top, L, _offsets(grads, x, L, top))))
+    U = float(np.min(_scores(grads, x, L, top)))
     A = np.abs(grads).max(axis=0)
     # relative rounding margin, on the magnitudes that enter bound and values
     tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(U))
@@ -200,9 +204,9 @@ def _screen(grads, x, L, fixed, free, k):
 
 def _best_support(grads, x, L, s, fixed) -> SupportSet:
     """Lexicographically first size-s superset of ``fixed`` minimizing
-    :func:`_thetas` with the :func:`_offsets` of each row.
+    :func:`_scores`.
 
-    Above ``_SCREEN_MIN`` candidates :func:`_screen` first narrows them; the
+    Above :func:`_screen_min` candidates :func:`_screen` first narrows them; the
     rows it keeps are still scored in lexicographic order, so the returned
     support is the one a full enumeration returns.  Raises
     :class:`CapacityError` when more than ``MAX_SUPPORTS`` rows are left to
@@ -214,7 +218,7 @@ def _best_support(grads, x, L, s, fixed) -> SupportSet:
     free = np.flatnonzero(is_free)
     k = s - fixed.size
     # a single candidate (k = 0, or all of free) needs no screen
-    if math.comb(free.size, k) > max(_SCREEN_MIN, 1):
+    if math.comb(free.size, k) > max(_screen_min(grads.shape[0]), 1):
         fixed, free, k = _screen(grads, x, L, fixed, free, k)
     total = math.comb(free.size, k)
     if total > MAX_SUPPORTS:
@@ -222,12 +226,13 @@ def _best_support(grads, x, L, s, fixed) -> SupportSet:
                             "reduce n or s")
     best_theta, best_K = np.inf, None
     for E in _support_chunks(free.size, k):
-        K = _with_fixed(fixed, free[E])
-        thetas = _thetas(grads, K, L, _offsets(grads, x, L, K))
+        # with nothing fixed, free is range(n) and the rows are the supports
+        K = E if free.size == n else _with_fixed(fixed, free[E])
+        thetas = _scores(grads, x, L, K)
         i = int(np.argmin(thetas))
         if thetas[i] < best_theta:
-            best_theta, best_K = float(thetas[i]), K[i]
-    return SupportSet(tuple(int(v) for v in best_K), n)
+            best_theta, best_K = thetas[i], K[i]
+    return SupportSet(tuple(best_K.tolist()), n)
 
 
 def _as_support(J, n: int) -> SupportSet:
@@ -259,12 +264,11 @@ def theta_subspace(p, x, J, I=None) -> DirectionSolution:
 def _subspace_direction(grads, I, cols) -> DirectionSolution:
     """``theta_subspace`` on already evaluated gradients (objectives ``I``, columns ``cols``).
 
-    ``I = None`` (every objective) gathers with ``take``, whose C-ordered
-    copy transposes to the same layout, and so the same BLAS path and the
-    same bits, as the ``np.ix_`` gather over all rows; ``grads[:, cols]``
-    would not.
+    The gather is ``take``, whose C-ordered copy transposes to the same
+    layout, and so the same BLAS path and the same bits, as an ``np.ix_``
+    gather; ``grads[:, cols]`` would not.
     """
-    rows = grads.take(cols, axis=1) if I is None else grads[np.ix_(I, cols)]
+    rows = (grads if I is None else grads.take(I, axis=0)).take(cols, axis=1)
     sol = solve_simplex_qp(rows.T, b=None, L=1.0)  # (|J|, |I|) columns
     d_full = np.zeros(grads.shape[1])
     d_full[cols] = sol.d
@@ -299,7 +303,7 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     affine offsets ``b_j = grad_j^T c + (L/2)||c||^2``; on K the remaining
     strongly convex min-max is solved exactly.  The minimum over K is the
     global optimum; the lexicographically first minimizer is returned.  Up
-    to ``_SCREEN_MIN`` supports every one is scored; beyond that a
+    to :func:`_screen_min` supports every one is scored; beyond that a
     Lagrangian bound rules coordinates in or out first and only the supports
     that can still attain the minimum are scored.
     """
@@ -308,10 +312,9 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     grads = np.asarray(p.gradient(x), dtype=float)
     best_K = _best_support(grads, x, L, s, np.array([], dtype=np.intp))
     cols = best_K.as_array()
-    comp = list(best_K.complement())
-    d_full = np.zeros(p.n)
-    d_full[comp] = -x[comp]
-    b = grads @ d_full + 0.5 * L * float(d_full @ d_full)
+    d_full = -x  # pinned off the support
+    d_full[cols] = 0.0
+    b = grads.dot(d_full) + 0.5 * L * d_full.dot(d_full)
     sol = solve_simplex_qp(grads[:, cols].T, b=b, L=L)
     d_full[cols] = sol.d
     # d = 0 is feasible, so the true optimum is <= 0 regardless of K.

@@ -139,14 +139,16 @@ class QuadraticInstance:
     def problem(self) -> MultiObjectiveProblem:
         Q1, Q2, c1, c2 = self.Q1, self.Q2, self.c1, self.c2
 
+        # ndarray.dot is the BLAS call ``@`` makes, with less dispatch; the
+        # float64 scalars round as Python floats would
         def ev(x):
             return np.array([
-                0.5 * float(x @ (Q1 @ x)) - float(c1 @ x),
-                0.5 * float(x @ (Q2 @ x)) - float(c2 @ x),
+                0.5 * x.dot(Q1.dot(x)) - c1.dot(x),
+                0.5 * x.dot(Q2.dot(x)) - c2.dot(x),
             ])
 
         def grad(x):
-            return np.array([Q1 @ x - c1, Q2 @ x - c2])
+            return np.array([Q1.dot(x) - c1, Q2.dot(x) - c2])
 
         return MultiObjectiveProblem(
             n=self.n, m=2, evaluate=ev, gradient=grad,
@@ -193,10 +195,8 @@ def example_biobjective() -> MultiObjectiveProblem:
     a2 = np.array([1.0, 0.5])
 
     def ev(x):
-        return np.array([
-            0.5 * float((x - a1) @ (x - a1)),
-            0.5 * float((x - a2) @ (x - a2)),
-        ])
+        d1, d2 = x - a1, x - a2
+        return np.array([0.5 * d1.dot(d1), 0.5 * d2.dot(d2)])
 
     def grad(x):
         return np.array([x - a1, x - a2])
@@ -249,17 +249,16 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
     L1 = _power_spectral_norm(R) / N
     from scipy.special import expit  # here, so quadratic-only runs never load scipy
 
+    RT = R.T
+
     def ev(w):
-        margins = t * (R @ w)
+        margins = t * R.dot(w)
         # the sum and division np.mean performs, without its dispatch
-        return np.array([
-            float(np.logaddexp(0.0, -margins).sum() / N),
-            0.5 * float(w @ w),
-        ])
+        return np.array([np.logaddexp(0.0, -margins).sum() / N, 0.5 * w.dot(w)])
 
     def grad(w):
-        margins = t * (R @ w)
-        g1 = -(R.T @ (t * expit(-margins))) / N
+        margins = t * R.dot(w)
+        g1 = -RT.dot(t * expit(-margins)) / N
         return np.array([g1, w])
 
     return MultiObjectiveProblem(n=n, m=2, evaluate=ev, gradient=grad,

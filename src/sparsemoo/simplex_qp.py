@@ -41,21 +41,23 @@ class DirectionSolution:
     theta: float
 
 
+# The helpers below use ndarray.dot, the BLAS call ``@`` makes with less
+# dispatch, and keep float64 scalars, which round as Python floats would.
 def _primal_value(G, b, L, d):
-    return float((G.T @ d + b).max() + 0.5 * L * float(d @ d))
+    return (G.T.dot(d) + b).max() + 0.5 * L * d.dot(d)
 
 
 def _dual_value(Gl, b, lam, L):
     # q(lam) from the product Gl = G @ lam the direction is built from
-    return float(Gl @ Gl) / (2.0 * L) - float(b @ lam)
+    return Gl.dot(Gl) / (2.0 * L) - b.dot(lam)
 
 
 def _solve_m2(G, b, L):
     # 1-D quadratic in t = lambda_1 on [0, 1]; lambda = (t, 1 - t).
     g1, g2 = G[:, 0], G[:, 1]
     u = g1 - g2
-    uu = float(u @ u)
-    g2u = float(g2 @ u)
+    uu = u.dot(u)
+    g2u = g2.dot(u)
     if uu > 0.0:
         t = min(1.0, max(0.0, (L * (b[0] - b[1]) - g2u) / uu))
     elif b[0] > b[1]:
@@ -141,7 +143,9 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
     dual by the same amount.  The weak-duality gap must stay within
     ``1e-7 max(1, |theta|)`` or the rounding scale ``1e-13 (max|H| + max|b|)``.
     """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
+    G = np.asarray(G, dtype=float)
+    if G.ndim < 2:
+        G = np.atleast_2d(G)
     if G.ndim != 2:
         raise ValueError("G must be a (k, m) matrix of gradient columns")
     m = G.shape[1]
@@ -155,12 +159,14 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
             raise ValueError("non-finite inputs to the direction subproblem")
     if m < 1:
         raise ValueError("need at least one objective column")
-    if not np.isfinite(G).all() or not math.isfinite(L):
+    # max|G| is NaN or inf exactly when G is not finite, and 0 when it is all zero
+    top_G = np.abs(G).max() if G.size else 0.0
+    if not math.isfinite(top_G) or not math.isfinite(L):
         raise ValueError("non-finite inputs to the direction subproblem")
     if L <= 0:
         raise ValueError(f"curvature L must be positive, got {L}")
 
-    if not G.any():
+    if top_G == 0.0:
         # Degenerate all-zero gradients: d = 0 and q(lam) = -b^T lam, so the
         # dual optimum spreads its weight evenly over the largest offsets.
         top = b == b.max()
@@ -175,9 +181,9 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
     else:
         lam = _solve_active_set((G.T @ G) / L, b)
 
-    Gl = G @ lam
-    d = -Gl / L
-    theta = _primal_value(G, b, L, d)
+    Gl = G.dot(lam)
+    d = Gl / -L  # -Gl / L: negation is exact, so either side may carry it
+    theta = float(_primal_value(G, b, L, d))
     if __debug__:
         # Weak duality sandwich; equality certifies global optimality.  Rounding
         # in either value grows with max|H| + max|b|, so a gap within _TOL of

@@ -149,13 +149,14 @@ def backtrack(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, cfg: Solve
     """First step ``a = alpha0 * delta^h``, h = 0..MAX_HALVINGS, that passes
     ``accept(a, f(x + a d))``: returns ``(a, x + a d, f(x + a d))``, or
     ``(0.0, None, None)`` when none does."""
+    evaluate, delta = p.evaluate, cfg.armijo.delta
     a = cfg.armijo.alpha0
     for _ in range(MAX_HALVINGS + 1):
         cand = x + a * d
-        fc = np.asarray(p.evaluate(cand), dtype=float)
+        fc = np.asarray(evaluate(cand), dtype=float)
         if accept(a, fc):
             return a, cand, fc
-        a *= cfg.armijo.delta
+        a *= delta
     return 0.0, None, None
 
 
@@ -178,9 +179,15 @@ def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: f
         fx = np.asarray(fx, dtype=float)
         if fx.shape != (p.m,):
             raise ValueError(f"fx must have shape ({p.m},), got {fx.shape}")
-    idx = slice(None) if I is None else sorted(set(int(j) for j in I))
-    fx, gamma = fx[idx], cfg.armijo.gamma
-    return backtrack(p, x, d, cfg, lambda a, fc: (fc[idx] <= fx + gamma * a * theta).all())
+    # all() over the list of m flags is ndarray.all() without its dispatch
+    gamma = cfg.armijo.gamma
+    if I is None:
+        return backtrack(p, x, d, cfg,
+                         lambda a, fc: all((fc <= fx + gamma * a * theta).tolist()))
+    idx = sorted(set(int(j) for j in I))
+    fx = fx[idx]
+    return backtrack(p, x, d, cfg,
+                     lambda a, fc: all((fc[idx] <= fx + gamma * a * theta).tolist()))
 
 
 def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
@@ -227,13 +234,14 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
 def _penalized(p: MultiObjectiveProblem, y: np.ndarray, tau: float) -> MultiObjectiveProblem:
     """Objectives f_j(x) + (tau/2) ||x - y||^2 with matching oracles."""
     y = np.asarray(y, dtype=float)
+    evaluate, gradient, half_tau = p.evaluate, p.gradient, 0.5 * tau
 
-    def ev(x, _y=y, _tau=tau):
-        diff = x - _y
-        return np.asarray(p.evaluate(x), dtype=float) + 0.5 * _tau * float(diff @ diff)
+    def ev(x):
+        diff = x - y
+        return np.asarray(evaluate(x), dtype=float) + half_tau * diff.dot(diff)
 
-    def grad(x, _y=y, _tau=tau):
-        return np.asarray(p.gradient(x), dtype=float) + _tau * (x - _y)
+    def grad(x):
+        return np.asarray(gradient(x), dtype=float) + tau * (x - y)
 
     return MultiObjectiveProblem(
         n=p.n, m=p.m, evaluate=ev, gradient=grad, lipschitz=p.lipschitz + tau

@@ -26,6 +26,20 @@ def quadratic_factory():
     return make
 
 
+def stacked_quadratics(n, m, seed, kappa=10.0):
+    """m quadratics from :func:`generate_quadratic`: ``Q1``, ``Q2`` of ``seed``,
+    then of ``seed + 1000`` and so on, each with its linear term."""
+    insts = [generate_quadratic(n, kappa, seed + 1000 * j) for j in range((m + 1) // 2)]
+    Qs = [Q for inst in insts for Q in (inst.Q1, inst.Q2)][:m]
+    cs = [c for inst in insts for c in (inst.c1, inst.c2)][:m]
+    return MultiObjectiveProblem(
+        n=n, m=m,
+        evaluate=lambda x: np.array([0.5 * x @ (Q @ x) - c @ x for Q, c in zip(Qs, cs)]),
+        gradient=lambda x: np.stack([Q @ x - c for Q, c in zip(Qs, cs)]),
+        lipschitz=np.full(m, float(kappa)),
+    )
+
+
 def single_objective_quadratic(a):
     """f(x) = 0.5 ||x - a||^2 as an m=1 problem."""
     a = np.asarray(a, dtype=float)

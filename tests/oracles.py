@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from sparsemoo import project_sparse, theta_subspace
+from sparsemoo import MultiObjectiveProblem, SupportSet, logistic_problem, project_sparse, support
+from sparsemoo.core import check_point, l0_norm
+from sparsemoo.simplex_qp import DirectionSolution, _solve_active_set
 from sparsemoo.solvers import MAX_HALVINGS
 
 
@@ -186,7 +188,7 @@ def reference_mosd(p, x0, J, eps, cfg):
     x = np.asarray(x0, dtype=float).copy()
     arm = cfg.armijo
     for _ in range(cfg.max_iter):
-        sol = theta_subspace(p, x, J)
+        sol = reference_theta_subspace(p, x, J)
         if sol.theta > -eps:
             break
         fx = np.asarray(p.evaluate(x), dtype=float)
@@ -207,3 +209,237 @@ def reference_logistic_values(R, t, w):
     """Mean logistic loss (through ``np.mean``) and ``0.5 ||w||^2``."""
     margins = t * (R @ w)
     return np.array([float(np.mean(np.logaddexp(0.0, -margins))), 0.5 * float(w @ w)])
+
+
+# The arithmetic below is the direct ``@`` / ``float()`` form the library's
+# oracles, simplex QP and support search were first written in.  The library
+# now spells the same operations more cheaply; these keep it to the same bytes.
+
+def reference_quadratic(inst):
+    """The oracles of a :class:`QuadraticInstance` in ``@`` / ``float()`` form."""
+    Q1, Q2, c1, c2 = inst.Q1, inst.Q2, inst.c1, inst.c2
+
+    def ev(x):
+        return np.array([
+            0.5 * float(x @ (Q1 @ x)) - float(c1 @ x),
+            0.5 * float(x @ (Q2 @ x)) - float(c2 @ x),
+        ])
+
+    def grad(x):
+        return np.array([Q1 @ x - c1, Q2 @ x - c2])
+
+    return MultiObjectiveProblem(n=inst.n, m=2, evaluate=ev, gradient=grad,
+                                 lipschitz=np.array([inst.kappa, inst.kappa]))
+
+
+def reference_example():
+    """The worked 2-D instance's oracles in ``@`` / ``float()`` form."""
+    a1, a2 = np.array([3.0, 2.5]), np.array([1.0, 0.5])
+
+    def ev(x):
+        return np.array([0.5 * float((x - a1) @ (x - a1)), 0.5 * float((x - a2) @ (x - a2))])
+
+    def grad(x):
+        return np.array([x - a1, x - a2])
+
+    return MultiObjectiveProblem(n=2, m=2, evaluate=ev, gradient=grad,
+                                 lipschitz=np.array([1.0, 1.0]))
+
+
+def reference_logistic(R, t):
+    """The logistic-regression oracles in ``@`` / ``float()`` form."""
+    from scipy.special import expit
+
+    R, t = np.asarray(R, dtype=float), np.asarray(t, dtype=float)
+    N = R.shape[0]
+
+    def ev(w):
+        margins = t * (R @ w)
+        return np.array([float(np.logaddexp(0.0, -margins).sum() / N), 0.5 * float(w @ w)])
+
+    def grad(w):
+        margins = t * (R @ w)
+        return np.array([-(R.T @ (t * expit(-margins))) / N, w])
+
+    return MultiObjectiveProblem(n=R.shape[1], m=2, evaluate=ev, gradient=grad,
+                                 lipschitz=logistic_problem(R, t).lipschitz)
+
+
+def reference_penalized(p, y, tau):
+    """``f_j(x) + (tau/2)||x - y||^2`` in ``@`` / ``float()`` form."""
+    y = np.asarray(y, dtype=float)
+
+    def ev(x):
+        diff = x - y
+        return np.asarray(p.evaluate(x), dtype=float) + 0.5 * tau * float(diff @ diff)
+
+    def grad(x):
+        return np.asarray(p.gradient(x), dtype=float) + tau * (x - y)
+
+    return MultiObjectiveProblem(n=p.n, m=p.m, evaluate=ev, gradient=grad,
+                                 lipschitz=p.lipschitz + tau)
+
+
+def _reference_solve_m2(G, b, L):
+    g1, g2 = G[:, 0], G[:, 1]
+    u = g1 - g2
+    uu = float(u @ u)
+    g2u = float(g2 @ u)
+    if uu > 0.0:
+        t = min(1.0, max(0.0, (L * (b[0] - b[1]) - g2u) / uu))
+    elif b[0] > b[1]:
+        t = 1.0
+    elif b[0] < b[1]:
+        t = 0.0
+    else:
+        t = 0.5
+    return np.array([t, 1.0 - t])
+
+
+def reference_solve_simplex_qp(G, b=None, L=1.0):
+    """:func:`solve_simplex_qp` with its input checks as two scans of ``G``
+    (``isfinite``, then ``any``) and its m <= 2 arithmetic in ``@`` /
+    ``float()`` form; m >= 3 shares the library's active-set method."""
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    if G.ndim != 2:
+        raise ValueError("G must be a (k, m) matrix of gradient columns")
+    m = G.shape[1]
+    if b is None:
+        b = np.zeros(m)
+    else:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
+            raise ValueError(f"b must have shape ({m},), got {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("non-finite inputs to the direction subproblem")
+    if m < 1:
+        raise ValueError("need at least one objective column")
+    if not np.isfinite(G).all() or not math.isfinite(L):
+        raise ValueError("non-finite inputs to the direction subproblem")
+    if L <= 0:
+        raise ValueError(f"curvature L must be positive, got {L}")
+    if not G.any():
+        top = b == b.max()
+        return DirectionSolution(d=np.zeros(G.shape[0]), lam=top / top.sum(),
+                                 theta=float(b.max()))
+    if m == 1:
+        lam = np.ones(1)
+    elif m == 2:
+        lam = _reference_solve_m2(G, b, L)
+    else:
+        lam = _solve_active_set((G.T @ G) / L, b)
+    d = -(G @ lam) / L
+    theta = float((G.T @ d + b).max() + 0.5 * L * float(d @ d))
+    return DirectionSolution(d=d, lam=lam, theta=theta)
+
+
+def reference_theta_subspace(p, x, J, I=None):
+    """:func:`theta_subspace` with an ``np.ix_`` gather and the reference QP."""
+    grads = np.asarray(p.gradient(np.asarray(x, dtype=float)), dtype=float)
+    cols = np.array(J.indices, dtype=np.intp)
+    rows = grads.take(cols, axis=1) if I is None else grads[np.ix_(sorted(set(I)), cols)]
+    sol = reference_solve_simplex_qp(rows.T, None, 1.0)
+    d = np.zeros(p.n)
+    d[cols] = sol.d
+    return DirectionSolution(d=d, lam=sol.lam, theta=min(sol.theta, 0.0))
+
+
+def reference_scores(grads, x, L, K):
+    """The on-support value at ``x`` of each row of ``K``, each objective's
+    columns gathered separately for the offsets and for the values."""
+    xK = x[K]
+    c2 = float(x @ x) - np.einsum("ij,ij->i", xK, xK)
+    P = grads @ x
+    B = np.stack([-(P[j] - np.einsum("ij,ij->i", grads[j][K], xK)) + 0.5 * L * c2
+                  for j in range(grads.shape[0])])
+    m = grads.shape[0]
+    if m == 1:
+        G = grads[0][K]
+        return B[0] - np.einsum("ij,ij->i", G, G) / (2.0 * L)
+    if m == 2:
+        b1, b2 = B
+        G1, G2 = grads[0][K], grads[1][K]
+        U = G1 - G2
+        uu = np.einsum("ij,ij->i", U, U)
+        g2u = np.einsum("ij,ij->i", G2, U)
+        g22 = np.einsum("ij,ij->i", G2, G2)
+        safe = np.where(uu > 0.0, uu, 1.0)
+        t_int = np.clip((L * (b1 - b2) - g2u) / safe, 0.0, 1.0)
+        t_flat = np.where(b1 > b2, 1.0, np.where(b1 < b2, 0.0, 0.5))
+        t = np.where(uu > 0.0, t_int, t_flat)
+        return -((t * t * uu + 2.0 * t * g2u + g22) / (2.0 * L) - (t * b1 + (1.0 - t) * b2))
+    return np.array([reference_solve_simplex_qp(grads[:, row].T, b=b, L=L).theta
+                     for row, b in zip(K, B.T)])
+
+
+def reference_best_support(grads, x, L, s, fixed):
+    """Score every size-s superset of ``fixed`` at once with
+    :func:`reference_scores`; the lexicographically first minimizer."""
+    n = x.size
+    fixed = np.asarray(fixed, dtype=np.intp)
+    free = np.array([i for i in range(n) if i not in set(fixed.tolist())], dtype=np.intp)
+    k = s - fixed.size
+    E = np.array(list(itertools.combinations(range(free.size), k)), dtype=np.intp)
+    E = E.reshape(math.comb(free.size, k), k)
+    K = np.sort(np.concatenate([np.broadcast_to(fixed, (E.shape[0], fixed.size)), free[E]],
+                               axis=1), axis=1)
+    thetas = reference_scores(grads, x, L, K)
+    return SupportSet(tuple(int(v) for v in K[int(np.argmin(thetas))]), n)
+
+
+def reference_theta_L(p, x, s, L):
+    """:func:`theta_L` by :func:`reference_best_support`, the pinned move
+    built through ``complement()``, and the reference QP."""
+    x = np.asarray(x, dtype=float)
+    grads = np.asarray(p.gradient(x), dtype=float)
+    best_K = reference_best_support(grads, x, L, s, [])
+    cols = np.array(best_K.indices, dtype=np.intp)
+    comp = list(best_K.complement())
+    d = np.zeros(p.n)
+    d[comp] = -x[comp]
+    b = grads @ d + 0.5 * L * float(d @ d)
+    sol = reference_solve_simplex_qp(grads[:, cols].T, b=b, L=L)
+    d[cols] = sol.d
+    return best_K, min(sol.theta, 0.0), d, sol.lam
+
+
+def reference_theta_feasible(p, x, s):
+    """:func:`theta_feasible` by :func:`reference_best_support` at the origin."""
+    x = np.asarray(x, dtype=float)
+    grads = np.asarray(p.gradient(x), dtype=float)
+    best_J = reference_best_support(grads, np.zeros(p.n), 1.0, s, support(x))
+    sol = reference_theta_subspace(p, x, best_J)
+    return best_J, sol.theta, sol.d, sol.lam
+
+
+def reference_armijo(p, x, d, theta, I, cfg, fx=None):
+    """The Armijo search as a plain loop over ``alpha0 * delta^h``: returns
+    ``(a, x + a d, f(x + a d))`` or ``(0.0, None, None)``."""
+    idx = list(range(p.m)) if I is None else sorted(set(I))
+    fx = np.asarray(p.evaluate(x) if fx is None else fx, dtype=float)
+    a = cfg.armijo.alpha0
+    for _ in range(MAX_HALVINGS + 1):
+        cand = x + a * d
+        fc = np.asarray(p.evaluate(cand), dtype=float)
+        if np.all(fc[idx] <= fx[idx] + cfg.armijo.gamma * a * theta):
+            return a, cand, fc
+        a *= cfg.armijo.delta
+    return 0.0, None, None
+
+
+def reference_assign_super_support(p, x, s, cfg):
+    """:func:`assign_super_support` on the reference search and line search."""
+    x, s = check_point(x, s, p.n)
+    for _ in range(1000):
+        if l0_norm(x) == s:
+            break
+        _, theta, d, _ = reference_theta_feasible(p, x, s)
+        if theta > -cfg.eps:
+            break
+        alpha = reference_armijo(p, x, d, theta, None, cfg)[0]
+        if alpha == 0.0:
+            break
+        x = x + alpha * d
+    taken = set(int(i) for i in support(x))
+    fill = [i for i in range(p.n) if i not in taken][: s - len(taken)]
+    return x, SupportSet(tuple(sorted(taken.union(fill))), p.n)

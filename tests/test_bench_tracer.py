@@ -39,6 +39,11 @@ def test_tracer_counts_a_smoke_front_and_restores_every_patch():
     assert metrics["solvers.armijo_common.calls"] >= 1
     assert metrics["solvers.armijo_common.evals"] >= 1
     assert metrics["simplex_qp.solve.calls"] >= 1
+    # with m = 2 each direction solves exactly one QP, all through the traced
+    # name; a path around it would break this sum
+    assert metrics["simplex_qp.solve.calls"] == (
+        metrics["directions.theta_subspace.calls"] + metrics["directions.theta_L.calls"]
+        + metrics["directions.theta_feasible.calls"])
     assert metrics["problems.evaluate.calls"] >= 1
     assert patched
     for owner, attr, original in patched:

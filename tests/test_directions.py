@@ -7,6 +7,7 @@ from sparsemoo import (
     CapacityError,
     MultiObjectiveProblem,
     SupportSet,
+    generate_quadratic,
     is_L_stationary,
     is_pareto_stationary,
     project_sparse,
@@ -16,7 +17,7 @@ from sparsemoo import (
     theta_subspace,
 )
 
-from conftest import single_objective_quadratic
+from conftest import single_objective_quadratic, stacked_quadratics
 from oracles import enum_theta_L, enum_theta_feasible, scaled_gap
 
 
@@ -351,9 +352,9 @@ def conditioned_problem(n, m, kappa, seed):
 
 
 class TestScreenedSearch:
-    """Past ``_SCREEN_MIN`` candidates a Lagrangian bound fixes coordinates
-    before any support is scored; support, theta, d and lambda must be the
-    ones that scoring every support gives."""
+    """Past ``_screen_min(m)`` candidates a Lagrangian bound fixes
+    coordinates before any support is scored; support, theta, d and lambda
+    must be the ones that scoring every support gives."""
 
     def cases(self):
         for m, n, s in ((1, 12, 5), (2, 12, 5), (3, 8, 4), (4, 7, 3)):
@@ -369,6 +370,9 @@ class TestScreenedSearch:
             ), 3
         for m in (1, 2, 3):
             yield zero_gradient_problem(n=8, m=m), 3
+        for kappa in (1.0, 10.0, 100.0):
+            for s in (2, 4, 7):
+                yield stacked_quadratics(10, 3, 0, kappa), s
 
     def results(self, p, s):
         rng = np.random.default_rng(p.n * 10 + p.m)
@@ -386,14 +390,34 @@ class TestScreenedSearch:
     def test_screened_matches_full(self, monkeypatch):
         import sparsemoo.directions as directions
 
-        monkeypatch.setattr(directions, "_SCREEN_MIN", 10**18)
+        default = [self.results(p, s) for p, s in self.cases()]
+        monkeypatch.setattr(directions, "_screen_min", lambda m: 10**18)
         full = [self.results(p, s) for p, s in self.cases()]
-        monkeypatch.setattr(directions, "_SCREEN_MIN", 0)
+        monkeypatch.setattr(directions, "_screen_min", lambda m: 0)
         screened = [self.results(p, s) for p, s in self.cases()]
         assert screened == full
+        assert default == full
         # tie instances at the origin: theta_L and theta_feasible pick (0, 1, 2)
         assert full[12][0][0] == full[12][1][0] == (0, 1, 2)
         assert full[13][0][0] == full[13][1][0] == (0, 1, 2)
+
+    def test_three_objectives_screen_by_default(self, monkeypatch):
+        # one simplex-QP solve per support: with m >= 3 every search past a
+        # single candidate is screened, with m <= 2 only past 2,000
+        import sparsemoo.directions as directions
+
+        screens = []
+        real = directions._screen
+
+        def counting(grads, *args):
+            screens.append(grads.shape[0])
+            return real(grads, *args)
+
+        monkeypatch.setattr(directions, "_screen", counting)
+        x = project_sparse(np.random.default_rng(3).normal(size=10), 3)
+        theta_L(stacked_quadratics(10, 3, 0), x, 3, 11.0)
+        theta_L(generate_quadratic(10, 10.0, 0).problem(), x, 3, 11.0)
+        assert screens == [3]
 
     def test_ill_conditioned_certificate(self):
         # kappa = 1000 puts |H| near 7e6; the dual weights must still meet a
@@ -413,13 +437,13 @@ class TestScreenedSearch:
         x = project_sparse(np.random.default_rng(0).normal(size=20), 5)
         L = 1.1 * float(p.lipschitz.max())
         rows = []
-        real = directions._thetas
+        real = directions._scores
 
-        def counting(grads, K, L, B):
+        def counting(grads, x, L, K):
             rows.append(K.shape[0])
-            return real(grads, K, L, B)
+            return real(grads, x, L, K)
 
-        monkeypatch.setattr(directions, "_thetas", counting)
+        monkeypatch.setattr(directions, "_scores", counting)
         calls = [lambda: theta_L(p, x, 5, L), lambda: theta_L(p, np.zeros(20), 5, L),
                  lambda: theta_feasible(p, np.zeros(20), 5)]
         for call in calls:

@@ -6,7 +6,9 @@ from sparsemoo import (
     SolverConfig,
     SupportSet,
     crowding_distance,
+    default_config,
     filter_nondominated,
+    generate_quadratic,
     initialize,
     is_feasible,
     sfsd_run,
@@ -300,3 +302,21 @@ class TestSfsdRun:
         arch = initialize(p, 2, "moiht", 5, 3, (-2.0, 2.0), cfg)
         out = sfsd_run(p, arch, 2, cfg, budget=4)
         assert len(out) >= 1
+
+
+class TestUserOracles:
+    def test_list_valued_oracles_run_a_front(self):
+        # every oracle output passes through np.asarray, so a problem whose
+        # evaluate and gradient return Python lists gives the same front
+        p = generate_quadratic(6, 10.0, 3).problem()
+        lists = MultiObjectiveProblem(
+            n=6, m=2, evaluate=lambda x: p.evaluate(x).tolist(),
+            gradient=lambda x: p.gradient(x).tolist(), lipschitz=p.lipschitz)
+        cfg = default_config(p)
+        for strategy in ("moiht", "mospd", "mohyb", "scalarized"):
+            fronts = []
+            for q in (p, lists):
+                archive = initialize(q, 2, strategy, 3, 0, (-1.0, 1.0), cfg)
+                front = sfsd_run(q, archive, 2, cfg, 2)
+                fronts.append([(e.J, e.x.tobytes(), e.fvals.tobytes()) for e in front.entries()])
+            assert fronts[0] == fronts[1] and fronts[0]

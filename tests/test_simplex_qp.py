@@ -3,7 +3,7 @@ import pytest
 
 from sparsemoo import solve_simplex_qp
 
-from oracles import face_theta, grid_theta_m2, scaled_gap
+from oracles import face_theta, grid_theta_m2, reference_solve_simplex_qp, scaled_gap
 
 
 def random_instance(rng, k, m, with_offsets=True):
@@ -188,3 +188,38 @@ class TestEdgeCases:
             solve_simplex_qp(np.ones((2, 2)), np.array([0.0, np.nan]), 1.0)
         with pytest.raises(ValueError):
             solve_simplex_qp(np.ones((2, 2)), np.zeros(3), 1.0)
+
+
+class TestInputContract:
+    """The checks of ``solve_simplex_qp`` against their two-scan reference:
+    the same errors for non-finite inputs, the same branch for all-zero,
+    empty and 1-D gradient matrices."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["G", "b", "L"])
+    def test_non_finite_input_raises_the_same_error(self, bad, where):
+        G, b, L = np.ones((3, 2)), np.zeros(2), 1.0
+        if where == "G":
+            G[1, 0] = bad
+        elif where == "b":
+            b[1] = bad
+        else:
+            L = bad
+        with pytest.raises(ValueError) as lib:
+            solve_simplex_qp(G, b, L)
+        with pytest.raises(ValueError) as ref:
+            reference_solve_simplex_qp(G, b, L)
+        assert str(lib.value) == str(ref.value) == "non-finite inputs to the direction subproblem"
+
+    @pytest.mark.parametrize("G", [
+        np.full((3, 2), -0.0), np.array([[0.0, -0.0, 0.0]]), np.zeros((0, 2)),
+        np.zeros((0, 3)), np.array([1.5, -2.0]), np.array([-0.0, 0.0, -0.0]), np.array(2.0),
+    ], ids=["minus-zeros", "mixed-zeros", "k0-m2", "k0-m3", "1d", "1d-zeros", "0d"])
+    @pytest.mark.parametrize("with_b", [False, True])
+    def test_degenerate_shapes_take_the_same_branch(self, G, with_b):
+        m = np.atleast_2d(G).shape[1]
+        b = np.linspace(-1.0, 1.0, m)[::-1].copy() if with_b else None
+        lib, ref = solve_simplex_qp(G, b, 2.0), reference_solve_simplex_qp(G, b, 2.0)
+        assert lib.d.shape == ref.d.shape
+        assert lib.d.tobytes() == ref.d.tobytes() and lib.lam.tobytes() == ref.lam.tobytes()
+        assert np.float64(lib.theta).tobytes() == np.float64(ref.theta).tobytes()
