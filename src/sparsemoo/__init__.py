@@ -56,8 +56,6 @@ from .sfsd import (
 )
 from .simplex_qp import DirectionSolution, solve_simplex_qp
 from .solvers import (
-    ArmijoParams,
-    PenaltyParams,
     SolverConfig,
     SolverTrace,
     armijo_common,
@@ -75,13 +73,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchiveEntry",
-    "ArmijoParams",
     "CapacityError",
     "DataError",
     "DirectionSolution",
     "MultiObjectiveProblem",
     "ParetoArchive",
-    "PenaltyParams",
     "ProfileCurve",
     "QuadraticInstance",
     "SolverConfig",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -153,23 +154,24 @@ def _save_entry(path, entry):
 
 
 def _load_problem(args):
-    """Resolve --instance / --dataset flags into (problem, info)."""
-    if getattr(args, "instance", None):
+    """Resolve the --instance / --dataset flags into (problem, info) and the
+    solver flags into the problem's config: ``(problem, info, cfg)``."""
+    if args.instance:
         problem, info = load_instance(args.instance)
         info["source"] = str(args.instance)
-        return problem, info
-    if getattr(args, "dataset", None):
+    elif args.dataset:
         if not args.label_column:
             raise ValueError("--label-column is required with --dataset")
         if args.s is None:
             raise ValueError("--s is required with --dataset")
         R, t = load_dataset(args.dataset, args.label_column)
         problem = logistic_problem(R, t)
-        return problem, {
-            "type": "logistic", "n": problem.n, "s": int(args.s),
-            "family": "logistic", "source": str(args.dataset),
-        }
-    raise ValueError("one of --instance or --dataset is required")
+        info = {"type": "logistic", "n": problem.n, "s": int(args.s),
+                "family": "logistic", "source": str(args.dataset)}
+    else:
+        raise ValueError("one of --instance or --dataset is required")
+    return problem, info, default_config(problem, info["family"], eps=args.eps,
+                                         max_iter=args.solver_budget, tau0=args.tau0)
 
 
 def _default_box(info):
@@ -215,11 +217,12 @@ def _nondominated(rows, empty):
 
 
 def _write_front(args, problem, info, cfg, rows, **extras):
-    """Front CSV, its ``.meta.json`` (shared keys plus ``extras``) and the summary line."""
+    """Front CSV, its ``.meta.json`` (shared keys, every ``cfg`` setting and
+    ``extras``) and the summary line."""
     write_front_csv(args.out, rows, problem.n, problem.m)
     write_json(f"{args.out}.meta.json", {
         "command": args.command, "strategy": args.strategy, "seed": args.seed,
-        "n_starts": args.n_starts, "s": info["s"], "L": cfg.L, "eps": cfg.eps,
+        "n_starts": args.n_starts, "s": info["s"], **dataclasses.asdict(cfg),
         "wallclock": args.wallclock, "instance": info, **extras,
     }, indent=2)
     print(f"wrote {args.out} ({len(rows)} nondominated points)")
@@ -265,10 +268,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem, info = _load_problem(args)
+    problem, info, cfg = _load_problem(args)
     s = info["s"]
-    cfg = default_config(problem, info["family"], eps=args.eps, max_iter=args.solver_budget,
-                         tau0=args.tau0)
     deadline_solve, deadline_refine = _deadlines(args.wallclock)
     points, iteration_counts = solve_starts(
         problem, s, args.strategy, args.n_starts, args.seed,
@@ -288,21 +289,18 @@ def cmd_solve(args) -> int:
             continue
         rows.append((fv, x, SupportSet.from_iterable(support(x), problem.n)))
     rows = _nondominated(rows, "no finite solver outputs to report")
-    return _write_front(args, problem, info, cfg, rows, max_iter=cfg.max_iter,
-                        tau0=cfg.penalty.tau0, iteration_counts=iteration_counts,
-                        points=len(rows))
+    return _write_front(args, problem, info, cfg, rows,
+                        iteration_counts=iteration_counts, points=len(rows))
 
 
 def cmd_front(args) -> int:
-    problem, info = _load_problem(args)
-    cfg = default_config(problem, info["family"], eps=args.eps, max_iter=args.solver_budget,
-                         tau0=args.tau0)
+    problem, info, cfg = _load_problem(args)
     final, rows = _run_front(
         problem, info, args.strategy, args.n_starts, args.seed, cfg, args.budget,
-        args.wallclock, crowding=args.crowding, explore_spacing=args.explore_spacing,
+        args.wallclock, explore_spacing=args.explore_spacing,
     )
     return _write_front(args, problem, info, cfg, rows, budget=args.budget,
-                        crowding=args.crowding, explore_spacing=args.explore_spacing,
+                        explore_spacing=args.explore_spacing,
                         archive_points=len(final), front_points=len(rows))
 
 
@@ -586,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     front = sub.add_parser("front", help="two-phase front approximation")
     add_common_problem_flags(front)
     front.add_argument("--budget", type=int, default=20, help="front descent sweeps")
-    front.add_argument("--crowding", default="mean", choices=["off", "mean", "quantile"],
-                       help="exploration crowding filter")
     front.add_argument("--explore-spacing", type=float, default=5e-3,
                        help="relative objective-space spacing floor for "
                             "exploration insertions (0 = literal rule)")

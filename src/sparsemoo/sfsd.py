@@ -114,7 +114,8 @@ class ParetoArchive:
         return sum(len(g) for g in self._groups.values())
 
     def contains(self, entry: ArchiveEntry) -> bool:
-        return any(entry is e for e in self._groups.get(entry.J, ()))
+        # entries compare by identity (eq=False), so ``in`` is an identity scan
+        return entry in self._groups.get(entry.J, ())
 
     def copy(self) -> "ParetoArchive":
         dup = ParetoArchive()
@@ -129,10 +130,10 @@ class ParetoArchive:
         )
 
     def remove(self, entry: ArchiveEntry):
-        group = self._groups.get(entry.J)
-        if group is not None:
-            self._groups[entry.J] = [e for e in group if e is not entry]
-            if not self._groups[entry.J]:
+        group = self._groups.get(entry.J, [])
+        if entry in group:
+            group.remove(entry)
+            if not group:
                 del self._groups[entry.J]
 
     def insert(self, entry: ArchiveEntry, skip_if_dominated: bool = False) -> ArchiveEntry:
@@ -301,23 +302,16 @@ def _objective_subsets(m: int):
         yield from itertools.combinations(range(m), size)
 
 
-def _explore_allowed(group, entry: ArchiveEntry, mode: str) -> bool:
-    if mode == "off":
-        return True
-    F = np.array([e.fvals for e in group])
-    dist = crowding_distance(F)
-    pos = next(i for i, e in enumerate(group) if e is entry)
-    if not np.isfinite(dist[pos]):
+def _explore_allowed(group, entry: ArchiveEntry) -> bool:
+    dist = crowding_distance(np.array([e.fvals for e in group]))
+    d = dist[group.index(entry)]
+    if not np.isfinite(d):
         return True  # boundary points always explored
-    finite = dist[np.isfinite(dist)]
-    if finite.size == 0:
-        return True
     # Threshold over the finite distances (the boundary infinities would
     # make any mean infinite).  Points at or below the bar are skipped: on
     # symmetric fronts all interior distances tie, and exploring ties would
     # double the archive every sweep.
-    bar = float(np.mean(finite)) if mode == "mean" else float(np.median(finite))
-    return dist[pos] > bar + 1e-12
+    return d > float(np.mean(dist[np.isfinite(dist)])) + 1e-12
 
 
 def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
@@ -346,8 +340,7 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
 
 
 def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
-             cfg: SolverConfig, budget: int, crowding: str = "mean",
-             explore_spacing: float = 5e-3,
+             cfg: SolverConfig, budget: int, *, explore_spacing: float = 5e-3,
              deadline: float | None = None) -> ParetoArchive:
     """Phase two: front steepest descent over per-support archives.
 
@@ -358,8 +351,8 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     each proper objective subset with a negative partial measure and while
     the point survives, an exploration step accepted when the candidate
     beats every key mate on some objective.  Exploration is skipped for
-    points whose crowding distance falls below the key's mean (``crowding``:
-    'off' | 'mean' | 'quantile').
+    interior points whose crowding distance is not above the mean of the
+    key's finite distances; boundary points are always explored.
 
     ``explore_spacing`` keeps exploration from tiling the front at ever
     finer resolution: candidates landing within that relative distance of
@@ -371,14 +364,12 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     subspace stationarity within ``FINAL_EPS`` (1e-4) and re-filters each
     key, so final entries satisfy the subspace optimality test at that
     tolerance.  ``budget`` must be an integer ``>= 0`` and
-    ``explore_spacing`` a finite number ``>= 0``, and ``crowding`` one of
-    the three modes; anything else raises ``ValueError``.
+    ``explore_spacing`` a finite number ``>= 0``; anything else raises
+    ``ValueError``.
     """
     s = check_budget(s, p.n)
     check_number("budget", budget, 0, integer=True)
     check_number("explore_spacing", explore_spacing, 0)
-    if crowding not in ("off", "mean", "quantile"):
-        raise ValueError(f"unknown crowding mode {crowding!r}")
     work = archive0.copy()
     prev = work.state()
     for _ in range(budget):
@@ -387,7 +378,7 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
         for entry in work.entries():
             if not work.contains(entry):
                 continue  # evicted earlier in this sweep
-            _process_entry(p, work, entry, cfg, crowding, explore_spacing)
+            _process_entry(p, work, entry, cfg, explore_spacing)
         cur = work.state()
         if cur == prev:
             break
@@ -400,7 +391,7 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
 
 
 def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfig,
-                   crowding: str, explore_spacing: float):
+                   explore_spacing: float):
     sol = theta_subspace(p, entry.x, entry.J)
     alpha = 0.0
     if sol.theta < -THETA_TOL:
@@ -414,7 +405,7 @@ def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfi
         z_entry = entry
     if not work.contains(z_entry):
         return
-    if not _explore_allowed(work.group(entry.J), z_entry, crowding):
+    if not _explore_allowed(work.group(entry.J), z_entry):
         return
     for I in _objective_subsets(p.m):
         if not work.contains(z_entry):

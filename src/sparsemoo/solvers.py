@@ -10,8 +10,8 @@ differs between callers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -20,38 +20,22 @@ from .directions import theta_L, theta_subspace
 
 # Backtracking tries alpha0 * delta^h for h = 0..MAX_HALVINGS, then gives up.
 MAX_HALVINGS = 50
-# Penalty decomposition shrinks its inner tolerance by EPS_SHRINK per outer
-# step and stops once ||x - y|| <= XY_TOL.
+# Penalty decomposition per problem family: (tau growth, first inner
+# tolerance).  The inner tolerance shrinks by EPS_SHRINK per outer step and
+# the decomposition stops once ||x - y|| <= XY_TOL.
+PENALTY_SCHEDULE = {"quadratic": (1.5, 1e-2), "logistic": (1.3, 1e-5)}
 EPS_SHRINK = 0.9
 XY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class ArmijoParams:
-    """Backtracking line-search parameters: alpha0 * delta^h steps."""
+    """Backtracking line-search constants: alpha0 * delta^h steps, sufficient
+    decrease gamma * a * theta."""
 
-    alpha0: float = 1.0
-    delta: float = 0.5
-    gamma: float = 1e-4
-
-    def __post_init__(self):
-        check_number("alpha0", self.alpha0, 0, open_low=True)
-        check_number("delta", self.delta, 0, 1, open_low=True)
-        check_number("gamma", self.gamma, 0, 1, open_low=True)
-
-
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Penalty decomposition schedule: growing tau, shrinking inner tolerance."""
-
-    tau0: float = 1.0
-    tau_growth: float = 1.5
-    eps0: float = 1e-2
-
-    def __post_init__(self):
-        check_number("tau0", self.tau0, 0, open_low=True)
-        check_number("tau_growth", self.tau_growth, 1, open_low=True)
-        check_number("eps0", self.eps0, 0, open_low=True)
+    alpha0: float
+    delta: float
+    gamma: float
 
 
 @dataclass(frozen=True)
@@ -60,39 +44,40 @@ class SolverConfig:
 
     ``L`` is the proximal curvature used by the hard-thresholding steps; it
     should exceed every objective's gradient Lipschitz constant (a margin of
-    1.1x is the usual choice, see :func:`default_config`).
+    1.1x is the usual choice, see :func:`default_config`).  ``tau0`` is the
+    first penalty weight of :func:`mospd`, and ``family`` (a key of
+    ``PENALTY_SCHEDULE``) picks its growth and inner tolerance.  The Armijo
+    constants are fixed: ``SolverConfig.armijo``.
     """
+
+    armijo: ClassVar[ArmijoParams] = ArmijoParams(alpha0=1.0, delta=0.5, gamma=1e-4)
 
     L: float
     eps: float = 1e-7
     max_iter: int = 10_000
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    penalty: PenaltyParams = field(default_factory=PenaltyParams)
+    tau0: float = 1.0
+    family: str = "quadratic"
 
     def __post_init__(self):
         check_number("L", self.L, 0, open_low=True)
         check_number("eps", self.eps, 0, open_low=True)
         check_number("max_iter", self.max_iter, 1, integer=True)
+        check_number("tau0", self.tau0, 0, open_low=True)
+        if self.family not in PENALTY_SCHEDULE:
+            raise ValueError(f"unknown problem family {self.family!r}")
 
 
 def default_config(p: MultiObjectiveProblem, family: str = "quadratic", *,
                    eps: float | None = None, max_iter: int | None = None,
                    tau0: float | None = None) -> SolverConfig:
-    """Config with L = 1.1 * max_j L(f_j) and family-specific penalty schedule.
+    """Config with L = 1.1 * max_j L(f_j) for a problem of ``family``.
 
-    ``family='quadratic'`` uses tau growth 1.5 with inner tolerance 1e-2;
-    ``family='logistic'`` uses 1.3 with 1e-5.  ``eps``, ``max_iter`` and the
-    initial penalty weight ``tau0`` replace their defaults unless ``None``.
+    ``eps``, ``max_iter`` and the initial penalty weight ``tau0`` replace
+    their defaults unless ``None``.
     """
-    penalty = {
-        "quadratic": PenaltyParams(tau_growth=1.5, eps0=1e-2),
-        "logistic": PenaltyParams(tau_growth=1.3, eps0=1e-5),
-    }.get(family)
-    if penalty is None:
-        raise ValueError(f"unknown problem family {family!r}")
-    cfg = SolverConfig(L=1.1 * float(np.max(p.lipschitz)), penalty=penalty, **{
-        name: v for name, v in (("eps", eps), ("max_iter", max_iter)) if v is not None})
-    return cfg if tau0 is None else replace(cfg, penalty=replace(penalty, tau0=tau0))
+    settings = {"eps": eps, "max_iter": max_iter, "tau0": tau0}
+    return SolverConfig(L=1.1 * float(np.max(p.lipschitz)), family=family,
+                        **{name: v for name, v in settings.items() if v is not None})
 
 
 @dataclass
@@ -251,7 +236,9 @@ def _penalized(p: MultiObjectiveProblem, y: np.ndarray, tau: float) -> MultiObje
 def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     """Sparse penalty decomposition: alternate penalized descent and projection.
 
-    Outer loop over a growing penalty weight tau; inside, alternate
+    Outer loop over a penalty weight tau that starts at ``cfg.tau0`` and
+    grows, with a shrinking inner tolerance, by the ``cfg.family`` entry of
+    ``PENALTY_SCHEDULE``; inside, alternate
     (i) an x-step driving x to approximate subspace stationarity for the
     penalized objectives ``f_j(x) + (tau/2)||x - y||^2`` over the full space
     and (ii) the y-step ``y = project_sparse(x, s)``, until x moves less
@@ -263,11 +250,10 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     """
     x0, s = check_point(x0, s, p.n)
     full = SupportSet(tuple(range(p.n)), p.n)
-    pen = cfg.penalty
+    tau_growth, eps_k = PENALTY_SCHEDULE[cfg.family]
     x = x0.copy()
     y = project_sparse(x, s)
-    tau = pen.tau0
-    eps_k = pen.eps0
+    tau = cfg.tau0
     xy_gap = float(np.linalg.norm(x - y))
     outer = 0
     inner_total = 0
@@ -286,7 +272,7 @@ def mospd(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
         if xy_gap <= XY_TOL:
             status = "converged"
             break
-        tau *= pen.tau_growth
+        tau *= tau_growth
         eps_k *= EPS_SHRINK
         if tau > 1e14:
             break

@@ -214,6 +214,20 @@ class TestFront:
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err.replace("-", "_")
         assert not out.exists()
 
+    def test_meta_records_every_solver_setting(self, ex4, tmp_path):
+        out = tmp_path / "front.csv"
+        assert run("front", "--instance", ex4, "--n-starts", 2, "--budget", 1,
+                   "--solver-budget", 50, "--tau0", 2, "--out", out) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert (meta["max_iter"], meta["tau0"], meta["family"]) == (50, 2.0, "quadratic")
+        assert meta["eps"] == 1e-7 and meta["L"] == pytest.approx(1.1)
+        assert "crowding" not in meta
+
+    def test_crowding_flag_removed(self, ex4, tmp_path):
+        out = tmp_path / "front.csv"
+        assert run("front", "--instance", ex4, "--crowding", "mean", "--out", out) == 1
+        assert not out.exists()
+
     def test_instance_budget_checked_on_load(self, ex4, tmp_path, capsys):
         ex4.write_text('{"s": true, "type": "example4"}\n')
         assert run("front", "--instance", ex4, "--out", tmp_path / "f.csv") == 1

@@ -11,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemoo import (
-    ArmijoParams,
     CapacityError,
     DataError,
     MultiObjectiveProblem,
     ParetoArchive,
-    PenaltyParams,
     SolverConfig,
     SupportSet,
     dominates,
@@ -26,9 +24,12 @@ from sparsemoo import (
     is_L_stationary,
     is_pareto_stationary,
     l0_norm,
+    moiht,
+    mospd,
     project_sparse,
     sfsd_run,
     super_supports,
+    theta_feasible,
     theta_L,
 )
 from sparsemoo import cli
@@ -260,12 +261,12 @@ GUARDED = [
     ("L", False, lambda v: theta_L(_P, _X0, 1, v)),
     ("eps", False, lambda v: is_L_stationary(_P, _X0, 1, 1.1, eps=v)),
     ("eps", False, lambda v: is_pareto_stationary(_P, _X0, 1, eps=v)),
-    ("alpha0", False, lambda v: ArmijoParams(alpha0=v)),
-    ("delta", False, lambda v: ArmijoParams(delta=v)),
-    ("gamma", False, lambda v: ArmijoParams(gamma=v)),
-    ("tau0", False, lambda v: PenaltyParams(tau0=v)),
-    ("tau_growth", False, lambda v: PenaltyParams(tau_growth=v)),
-    ("eps0", False, lambda v: PenaltyParams(eps0=v)),
+    ("s", True, lambda v: sfsd_run(_P, ParetoArchive(), v, _CFG, 0)),
+    ("s", True, lambda v: solve_starts(_P, v, "scalarized", 1, 0, (-2.0, 2.0), _CFG)),
+    ("s", True, lambda v: moiht(_P, _X0, v, _CFG)),
+    ("tau0", False, lambda v: SolverConfig(L=1.1, tau0=v)),
+    ("s", True, lambda v: mospd(_P, _X0, v, _CFG)),
+    ("s", True, lambda v: theta_feasible(_P, _X0, v)),
     ("L", False, lambda v: SolverConfig(L=v)),
     ("eps", False, lambda v: SolverConfig(L=1.1, eps=v)),
     ("max_iter", True, lambda v: SolverConfig(L=1.1, max_iter=v)),

@@ -146,6 +146,22 @@ class TestArchive:
         arch.insert(entry(p, [2.5, 0.0], SupportSet((0,), 2)))
         assert arch.state() != s0
 
+    def test_membership_and_removal_by_identity(self, example_problem):
+        J = SupportSet((0,), 2)
+        arch = ParetoArchive()
+        member = arch.insert(entry(example_problem, [2.0, 0.0], J))
+        twin = ArchiveEntry(x=member.x, J=member.J, fvals=member.fvals)
+        assert twin is not member
+        assert (twin.x.tobytes(), twin.fvals.tobytes()) == (member.x.tobytes(),
+                                                          member.fvals.tobytes())
+        assert arch.contains(member) and not arch.contains(twin)
+        arch.remove(twin)  # not a member: nothing changes
+        assert [e is member for e in arch.group(J)] == [True]
+        dup = arch.copy()
+        dup.remove(member)
+        assert len(dup) == 0 and dup.keys() == []
+        assert arch.contains(member)  # the copy's groups are its own
+
     def test_dominated_insert_fails_sweep_rule(self, example_problem):
         p = example_problem
         J = SupportSet((0,), 2)
@@ -238,7 +254,7 @@ class TestSfsdRun:
         p = twin_objective_problem(a, 3)
         J = SupportSet((0,), 3)
         arch = ParetoArchive.from_entries([entry(p, [1.5, 0.0, 0.0], J)])
-        out = sfsd_run(p, arch, 1, SolverConfig(L=1.1), budget=5, crowding="off")
+        out = sfsd_run(p, arch, 1, SolverConfig(L=1.1), budget=5)
         assert out.state() == arch.state()
 
     def test_outputs_feasible_and_on_keys(self, quadratic_factory):
@@ -281,18 +297,6 @@ class TestSfsdRun:
         ])
         out = sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=0)
         assert out.state() == arch.state()
-
-    def test_crowding_modes_run(self, example_problem):
-        p = example_problem
-        arch = ParetoArchive.from_entries([
-            entry(p, [2.0, 0.0], SupportSet((0,), 2)),
-        ])
-        for mode in ("off", "mean", "quantile"):
-            out = sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=2, crowding=mode)
-            assert len(out) >= 1
-        for budget in (1, 0):  # checked up front, even when no sweep runs
-            with pytest.raises(ValueError, match="crowding"):
-                sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=budget, crowding="median")
 
     def test_monotone_common_steps_recorded(self, quadratic_factory):
         # objective vectors along common-descent insertions never increase:

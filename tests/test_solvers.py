@@ -5,7 +5,6 @@ import pytest
 
 from sparsemoo import (
     MultiObjectiveProblem,
-    PenaltyParams,
     SolverConfig,
     SupportSet,
     armijo_common,
@@ -25,7 +24,7 @@ from sparsemoo import (
     theta_subspace,
 )
 from sparsemoo.sfsd import assign_super_support
-from sparsemoo.solvers import _penalized
+from sparsemoo.solvers import PENALTY_SCHEDULE, _penalized
 
 from conftest import single_objective_quadratic
 from oracles import iht_trajectory, reference_mosd
@@ -291,14 +290,14 @@ class TestMospd:
         assert np.count_nonzero(y) <= 1
 
     def test_large_tau0_binds_to_start(self, example_problem):
-        cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=100.0))
+        cfg = SolverConfig(L=1.01, tau0=100.0)
         x0 = project_sparse(np.array([2.0, 2.0]), 1)  # -> (2, 0)
         y, _ = mospd(example_problem, x0, 1, cfg)
         axis_projections = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
         assert min(np.linalg.norm(y - a) for a in axis_projections) <= 0.5
 
     def test_small_tau0_reaches_subspace_stationarity(self, example_problem):
-        cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=1.0))
+        cfg = SolverConfig(L=1.01, tau0=1.0)
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
         y, _ = mospd(example_problem, x0, 1, cfg)
         _, J = assign_super_support(example_problem, y, 1)
@@ -308,10 +307,22 @@ class TestMospd:
         with pytest.raises(ValueError, match="nonzeros is infeasible"):
             mospd(example_problem, np.array([1.0, 1.0]), 1, SolverConfig(L=1.01))
 
+    @pytest.mark.parametrize("family", sorted(PENALTY_SCHEDULE))
+    def test_penalty_schedule_of_family(self, example_problem, family):
+        # tau starts at cfg.tau0 and grows by the family's factor once per
+        # outer step that does not converge
+        cfg = SolverConfig(L=1.01, tau0=0.5, family=family)
+        x0 = project_sparse(np.array([2.0, 2.0]), 1)
+        _, info = mospd(example_problem, x0, 1, cfg)
+        assert info["status"] == "converged" and info["outer_iterations"] > 1
+        growth = PENALTY_SCHEDULE[cfg.family][0]
+        assert info["tau_final"] == pytest.approx(
+            cfg.tau0 * growth ** (info["outer_iterations"] - 1))
+
 
 class TestMohyb:
     def test_l_stationary_when_converged(self, example_problem):
-        cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=1.0))
+        cfg = SolverConfig(L=1.01, tau0=1.0)
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
         x, info = mohyb(example_problem, x0, 1, cfg)
         assert info["status"] == "converged"
@@ -319,7 +330,7 @@ class TestMohyb:
         assert np.count_nonzero(x) <= 1  # lands on an axis
 
     def test_large_tau0_still_l_stationary(self, example_problem):
-        cfg = replace(SolverConfig(L=1.01), penalty=PenaltyParams(tau0=100.0))
+        cfg = SolverConfig(L=1.01, tau0=100.0)
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
         x, _ = mohyb(example_problem, x0, 1, cfg)
         assert is_L_stationary(example_problem, x, 1, 1.01, 1e-7)
@@ -370,19 +381,17 @@ class TestConfigs:
     def test_default_config_families(self, example_problem):
         q = default_config(example_problem, family="quadratic")
         assert q.L == pytest.approx(1.1)
-        assert q.penalty.tau_growth == 1.5 and q.penalty.eps0 == 1e-2
-        lg = default_config(example_problem, family="logistic")
-        assert lg.penalty.tau_growth == 1.3 and lg.penalty.eps0 == 1e-5
-        with pytest.raises(ValueError):
+        assert q.family == "quadratic"
+        assert default_config(example_problem, family="logistic").family == "logistic"
+        with pytest.raises(ValueError, match="family"):
             default_config(example_problem, family="other")
 
     def test_default_config_settings(self, example_problem):
         cfg = default_config(example_problem, "logistic", eps=1e-9, max_iter=7, tau0=2.0)
-        assert (cfg.eps, cfg.max_iter, cfg.penalty.tau0) == (1e-9, 7, 2.0)
-        assert cfg.penalty.tau_growth == 1.3 and cfg.penalty.eps0 == 1e-5
+        assert (cfg.eps, cfg.max_iter, cfg.tau0, cfg.family) == (1e-9, 7, 2.0, "logistic")
         kept = default_config(example_problem, eps=None, max_iter=None, tau0=None)
         assert kept == default_config(example_problem)
-        assert (kept.eps, kept.max_iter, kept.penalty.tau0) == (1e-7, 10_000, 1.0)
+        assert (kept.eps, kept.max_iter, kept.tau0) == (1e-7, 10_000, 1.0)
         with pytest.raises(ValueError, match="tau0"):
             default_config(example_problem, tau0=0.0)
         with pytest.raises(TypeError):
@@ -393,9 +402,10 @@ class TestConfigs:
             SolverConfig(L=0.0)
         with pytest.raises(ValueError):
             SolverConfig(L=1.0, eps=-1.0)
-        with pytest.raises(ValueError):
-            PenaltyParams(tau_growth=1.0)
-        from sparsemoo import ArmijoParams
-
-        with pytest.raises(ValueError):
-            ArmijoParams(delta=1.0)
+        with pytest.raises(ValueError, match="unknown problem family 'other'"):
+            SolverConfig(L=1.0, family="other")
+        with pytest.raises(TypeError):
+            SolverConfig(L=1.0, alpha0=2.0)  # the Armijo constants are not settings
+        arm = SolverConfig.armijo
+        assert (arm.alpha0, arm.delta, arm.gamma) == (1.0, 0.5, 1e-4)
+        assert SolverConfig(L=1.0).armijo is arm
