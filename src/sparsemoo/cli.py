@@ -31,7 +31,7 @@ from .metrics import (
 from .problems import (
     DataError,
     check_instance_entry,
-    generate_quadratic,
+    instance_name,
     load_dataset,
     load_instance,
     logistic_problem,
@@ -134,21 +134,6 @@ def read_front_csv(path):
     return np.array(fs), np.array(xs), sups
 
 
-def _instance_name(entry):
-    """File name of a manifest-style instance entry."""
-    if entry.get("type") == "example4":
-        return f"example4_s{entry['s']}.json"
-    return f"quad_n{entry['n']}_k{entry['kappa']:g}_s{entry['s']}_seed{entry['seed']}.json"
-
-
-def _save_entry(path, entry):
-    """Write the instance a checked manifest-style entry describes."""
-    inst = ("example4" if entry.get("type") == "example4"
-            else generate_quadratic(entry["n"], entry["kappa"], entry["seed"]))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_instance(path, inst, entry["s"])
-
-
 # ---------------------------------------------------------------------------
 # problem loading
 
@@ -157,6 +142,9 @@ def _load_problem(args):
     """Resolve the --instance / --dataset flags into (problem, info) and the
     solver flags into the problem's config: ``(problem, info, cfg)``."""
     if args.instance:
+        for flag in ("dataset", "label_column", "s"):  # the file gives the problem and s
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} cannot be used with --instance")
         problem, info = load_instance(args.instance)
         info["source"] = str(args.instance)
     elif args.dataset:
@@ -246,7 +234,7 @@ def cmd_generate(args) -> int:
         entries = [{"n": n, "kappa": kappa, "s": s, "seed": seed}
                    for n, s_choices in BENCHMARK_GRID.items() for kappa in BENCHMARK_KAPPAS
                    for s in s_choices for seed in seeds]
-        jobs = [(out_dir / _instance_name(entry), entry) for entry in entries]
+        jobs = [(out_dir / instance_name(entry), entry) for entry in entries]
     else:
         if args.example4:
             entry = {"type": "example4", "s": 1 if args.s is None else args.s}
@@ -261,7 +249,7 @@ def cmd_generate(args) -> int:
     for path, entry in jobs:  # every entry is checked before any file is written
         check_instance_entry(entry, f"{path}:")
     for path, entry in jobs:
-        _save_entry(path, entry)
+        save_instance(path, entry)
     print(f"wrote {len(jobs)} instances to {out_dir}" if args.benchmark_grid
           else f"wrote {args.out}")
     return EXIT_OK
@@ -423,7 +411,8 @@ def cmd_profiles(args) -> int:
 
 
 def _load_manifest(path):
-    """The manifest JSON, with its defaults filled in and every value checked."""
+    """The manifest JSON, with its defaults filled in, every value checked and
+    every instance name (the file stem each output is keyed by) unique."""
     manifest = read_json(path)
     source = f"{path}: manifest"
     if not isinstance(manifest, dict):
@@ -431,6 +420,7 @@ def _load_manifest(path):
     instances = manifest.get("instances")
     if not isinstance(instances, list) or not instances:
         raise DataError(f"{source} 'instances' must be a non-empty list")
+    stems = {}
     for i, entry in enumerate(instances):
         if not isinstance(entry, dict):
             raise DataError(f"{source} 'instances[{i}]' must be an object")
@@ -438,10 +428,16 @@ def _load_manifest(path):
             if not isinstance(entry["path"], str):
                 raise DataError(
                     f"{source} 'instances[{i}].path' must be a string, got {entry['path']!r}")
-            continue
-        if entry.get("type") != "example4":
-            entry.setdefault("seed", 0)
-        check_instance_entry(entry, source, f"instances[{i}].")
+            stem = (path.parent / entry["path"]).resolve().stem
+        else:
+            if entry.get("type") != "example4":
+                entry.setdefault("seed", 0)
+            check_instance_entry(entry, source, f"instances[{i}].")
+            stem = Path(instance_name(entry)).stem
+        if stem in stems:
+            raise DataError(f"{source} 'instances[{stems[stem]}]' and 'instances[{i}]' are both "
+                            f"named {stem!r}; instance names must be unique")
+        stems[stem] = i
     strategies = manifest.setdefault("strategies", ["mohyb"])
     if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
         raise DataError(f"{source} 'strategies' must be a list drawn from {list(STRATEGIES)}")
@@ -468,7 +464,6 @@ def cmd_reproduce(args) -> int:
 
     # Materialize instances first; every referenced file must exist up front.
     inst_dir = out_dir / "instances"
-    inst_dir.mkdir(exist_ok=True)
     inst_files = []
     for entry in manifest["instances"]:
         if "path" in entry:
@@ -476,8 +471,8 @@ def cmd_reproduce(args) -> int:
             if not path.exists():
                 raise DataError(f"manifest references missing instance {path}")
         else:
-            path = inst_dir / _instance_name(entry)
-            _save_entry(path, entry)
+            path = inst_dir / instance_name(entry)
+            save_instance(path, entry)
         inst_files.append(path)
     loaded = [load_instance(path) for path in inst_files]
 

@@ -30,16 +30,20 @@ _MISSING = {"", "?", "na", "nan"}
 
 def check_instance_entry(entry, source, prefix=""):
     """Check an instance entry ``{"n", "kappa", "s", "seed"}`` or
-    ``{"type": "example4", "s"}``: each key is present, ``n``, ``s`` and
-    ``seed`` are JSON integers with ``1 <= s < n`` (n = 2 for example4) and
-    ``seed >= 0``, and ``kappa`` is a finite number ``>= 1``.
+    ``{"type": "example4", "s"}`` and return its type: ``type``, if given,
+    is ``"quadratic"`` or ``"example4"``, each key is present, ``n``, ``s``
+    and ``seed`` are JSON integers with ``1 <= s < n`` (n = 2 for example4)
+    and ``seed >= 0``, and ``kappa`` is a finite number ``>= 1``.
 
     Errors name ``source`` and the field, prefixed with ``prefix``.
     """
     def check(field, low, integer=True):
         return check_number(f"{source} '{prefix}{field}'", entry[field], low, integer=integer)
 
-    example4 = entry.get("type") == "example4"
+    kind = entry.get("type", "quadratic")
+    if kind not in ("quadratic", "example4"):
+        raise DataError(f"{source} '{prefix}type' must be 'quadratic' or 'example4', got {kind!r}")
+    example4 = kind == "example4"
     missing = [key for key in (("s",) if example4 else ("n", "kappa", "s", "seed"))
                if key not in entry]
     if missing:
@@ -52,6 +56,15 @@ def check_instance_entry(entry, source, prefix=""):
     if not example4:
         check("kappa", 1, integer=False)
         check("seed", 0)
+    return kind
+
+
+def instance_name(entry) -> str:
+    """File name of an instance entry: ``quad_n<n>_k<kappa>_s<s>_seed<seed>.json``
+    (kappa printed as ``%g``) or ``example4_s<s>.json``."""
+    if entry.get("type") == "example4":
+        return f"example4_s{entry['s']}.json"
+    return f"quad_n{entry['n']}_k{entry['kappa']:g}_s{entry['s']}_seed{entry['seed']}.json"
 
 
 def _read_text(path) -> str:
@@ -316,40 +329,43 @@ def load_dataset(path, label_column: str):
     return standardized, t
 
 
-def save_instance(path, inst, s: int) -> None:
-    """Write a quadratic instance (or the worked example) as JSON.
+def save_instance(path, entry) -> None:
+    """Write the instance an entry describes as JSON, creating the parent
+    directory; the entry must pass :func:`check_instance_entry`.
 
     Quadratic schema: ``{"type": "quadratic", "n", "kappa", "seed", "s",
-    "Q1", "Q2", "c1", "c2"}`` with matrices row-major and full.  The worked
-    example serializes as ``{"type": "example4", "s"}``.
+    "Q1", "Q2", "c1", "c2"}`` with matrices row-major and full, generated by
+    :func:`generate_quadratic`.  The worked example serializes as
+    ``{"type": "example4", "s"}``.
     """
-    if inst == "example4":
-        doc = {"type": "example4", "s": int(s)}
+    if check_instance_entry(entry, f"{path}:") == "example4":
+        doc = {"type": "example4", "s": int(entry["s"])}
     else:
+        inst = generate_quadratic(entry["n"], entry["kappa"], entry["seed"])
         doc = {
             "type": "quadratic",
             "n": inst.n,
             "kappa": inst.kappa,
             "seed": inst.seed,
-            "s": int(s),
+            "s": int(entry["s"]),
             "Q1": inst.Q1.tolist(),
             "Q2": inst.Q2.tolist(),
             "c1": inst.c1.tolist(),
             "c2": inst.c2.tolist(),
         }
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_json(path, doc, separators=(",", ":"))
 
 
 def _quadratic_from_doc(path, doc):
-    """``(QuadraticInstance, s)`` from an instance document, checked.
+    """``(QuadraticInstance, s)`` from an instance document whose entry keys
+    passed :func:`check_instance_entry`.
 
     Each ``Q_j`` must be a finite symmetric ``(n, n)`` matrix and each
-    ``c_j`` a finite ``(n,)`` vector; ``n``, ``kappa``, ``s`` and ``seed``
-    follow :func:`check_instance_entry`; ``kappa`` is the Lipschitz constant
+    ``c_j`` a finite ``(n,)`` vector; ``kappa`` is the Lipschitz constant
     the solvers rely on, so it may not undercut the largest eigenvalue of either
     ``Q_j`` (beyond a relative 1e-9).  Violations raise :class:`DataError`.
     """
-    check_instance_entry(doc, f"{path}:")
     n, s, kappa, seed = doc["n"], doc["s"], float(doc["kappa"]), doc["seed"]
     try:
         arrays = {name: np.array(doc[name], dtype=float) for name in ("Q1", "Q2", "c1", "c2")}
@@ -381,15 +397,13 @@ def load_instance(path):
     :class:`DataError` naming the file and the field.
     """
     doc = read_json(path)
-    kind = doc.get("type") if isinstance(doc, dict) else None
-    if kind == "quadratic":
-        inst, s = _quadratic_from_doc(path, doc)
-        return inst.problem(), {
-            "type": "quadratic", "n": inst.n, "s": s,
-            "kappa": inst.kappa, "seed": inst.seed, "family": "quadratic",
-        }
-    if kind == "example4":
-        check_instance_entry(doc, f"{path}:")
+    if not isinstance(doc, dict) or "type" not in doc:
+        raise DataError(f"{path}: an instance file must be a JSON object with a 'type'")
+    if check_instance_entry(doc, f"{path}:") == "example4":
         return example_biobjective(), {
             "type": "example4", "n": 2, "s": doc["s"], "family": "quadratic"}
-    raise DataError(f"{path}: unknown instance type {kind!r}")
+    inst, s = _quadratic_from_doc(path, doc)
+    return inst.problem(), {
+        "type": "quadratic", "n": inst.n, "s": s,
+        "kappa": inst.kappa, "seed": inst.seed, "family": "quadratic",
+    }

@@ -291,8 +291,9 @@ def initialize(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
         fx = np.asarray(p.evaluate(x), dtype=float)
         if not np.all(np.isfinite(fx)):
             continue
-        x_assigned, J = assign_super_support(p, x, s, cfg)
-        entries.append(ArchiveEntry(x=x_assigned, J=J, fvals=p.evaluate(x_assigned)))
+        # x itself comes back when no step is taken (full support, say): fx holds
+        x_new, J = assign_super_support(p, x, s, cfg)
+        entries.append(ArchiveEntry(x=x_new, J=J, fvals=fx if x_new is x else p.evaluate(x_new)))
     return ParetoArchive.from_entries(entries)
 
 

@@ -578,6 +578,17 @@ class TestReproduce:
         ({"instances": [{"type": "example4", "s": 1}], "solver_budget": True}, "solver_budget"),
         ({"instances": [{"n": 10, "kappa": 1, "s": 2}], "out_dir": 5}, "out_dir"),
         ({"instances": [{"path": 5}]}, "instances[0].path"),
+        ({"instances": [{"type": "logistic", "n": 6, "kappa": 10, "s": 2, "seed": 0}]},
+         "'instances[0].type' must be 'quadratic' or 'example4'"),
+        ({"instances": [{"path": "a/inst.json"}, {"path": "b/inst.json"}]},
+         "'instances[0]' and 'instances[1]' are both named 'inst'"),
+        ({"instances": [{"n": 6, "kappa": 10, "s": 3}, {"type": "example4", "s": 1},
+                        {"n": 6, "kappa": 10.0, "s": 3, "seed": 0}]},
+         "'instances[0]' and 'instances[2]' are both named 'quad_n6_k10_s3_seed0'"),
+        ({"instances": [{"n": 6, "kappa": 10, "s": 3}, {"n": 6, "kappa": 10.0000001, "s": 3}]},
+         "'instances[0]' and 'instances[1]'"),
+        ({"instances": [{"type": "example4", "s": 1}, {"path": "example4_s1.json"}]},
+         "'instances[0]' and 'instances[1]'"),
     ])
     def test_invalid_manifest_rejected(self, tmp_path, capsys, manifest, field):
         out_dir = tmp_path / "out"
@@ -587,6 +598,20 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert field in err and f"{path}: manifest" in err
         assert not out_dir.exists()  # rejected before any work starts
+
+
+@pytest.mark.parametrize("command", ["solve", "front"])
+@pytest.mark.parametrize("flags, named", [
+    (["--dataset", DATA_DIR / "synth_margin_b.csv", "--label-column", "y", "--s", 5], "--dataset"),
+    (["--s", 1], "--s"),
+    (["--label-column", "y"], "--label-column"),
+])
+def test_instance_refuses_flags_it_would_ignore(tmp_path, capsys, command, flags, named):
+    inst, out = tmp_path / "ex4.json", tmp_path / "f.csv"
+    assert run("generate", "--example4", "--s", 1, "--out", inst) == 0
+    assert run(command, "--instance", inst, *flags, "--n-starts", 2, "--out", out) == 1
+    assert f"error: {named} cannot be used with --instance" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 class TestTopLevel:

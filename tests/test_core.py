@@ -288,6 +288,7 @@ GUARDED = [
     ("manifest 'run_seeds[0]'", True, lambda v: _load_manifest(run_seeds=[v])),
     ("manifest 'instances[0].kappa'", False,
      lambda v: _load_manifest(instances=[{"n": 4, "kappa": v, "s": 2}])),
+    ("q.json: 'type'", False, lambda v: _entry(type=v)),
 ]
 
 

@@ -17,7 +17,7 @@ from sparsemoo import (
     logistic_problem,
     save_instance,
 )
-from sparsemoo.problems import _power_spectral_norm
+from sparsemoo.problems import _power_spectral_norm, instance_name
 
 from oracles import fd_gradient, reference_logistic_values
 
@@ -251,9 +251,8 @@ class TestLoadDataset:
 
 class TestInstanceRoundTrip:
     def test_quadratic_schema_exact(self, tmp_path):
-        inst = generate_quadratic(4, 10.0, 2)
         path = tmp_path / "q.json"
-        save_instance(path, inst, 2)
+        save_instance(path, {"n": 4, "kappa": 10.0, "s": 2, "seed": 2})
         doc = json.loads(path.read_text())
         assert set(doc) == {"type", "n", "kappa", "seed", "s", "Q1", "Q2", "c1", "c2"}
         assert doc["type"] == "quadratic" and doc["n"] == 4 and doc["s"] == 2
@@ -262,7 +261,7 @@ class TestInstanceRoundTrip:
     def test_round_trip_evaluations(self, tmp_path):
         inst = generate_quadratic(5, 10.0, 7)
         path = tmp_path / "q.json"
-        save_instance(path, inst, 3)
+        save_instance(path, {"n": 5, "kappa": 10.0, "s": 3, "seed": 7})
         problem, info = load_instance(path)
         assert info["s"] == 3 and info["n"] == 5
         rng = np.random.default_rng(0)
@@ -272,7 +271,7 @@ class TestInstanceRoundTrip:
 
     def test_example4_round_trip(self, tmp_path):
         path = tmp_path / "e.json"
-        save_instance(path, "example4", 1)
+        save_instance(path, {"type": "example4", "s": 1})
         problem, info = load_instance(path)
         assert info["type"] == "example4" and info["s"] == 1
         np.testing.assert_allclose(problem.evaluate(np.array([3.0, 0.0])),
@@ -283,6 +282,17 @@ class TestInstanceRoundTrip:
         path.write_text('{"type": "cubic", "s": 1}')
         with pytest.raises(DataError):
             load_instance(path)
+
+    def test_unknown_type_never_saved(self, tmp_path):
+        path = tmp_path / "sub" / "u.json"
+        with pytest.raises(DataError, match=re.escape(f"{path}: 'type' must be")):
+            save_instance(path, {"type": "logistic", "n": 6, "kappa": 10, "s": 2, "seed": 0})
+        assert not path.parent.exists()
+
+    def test_instance_names(self):
+        assert instance_name({"n": 10, "kappa": 10.0, "s": 5, "seed": 0}) == \
+            "quad_n10_k10_s5_seed0.json"
+        assert instance_name({"type": "example4", "s": 1}) == "example4_s1.json"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(Q1=doc["Q1"][:3]), "Q1 has shape"),
@@ -300,7 +310,7 @@ class TestInstanceRoundTrip:
     ])
     def test_invalid_quadratic_rejected(self, tmp_path, edit, message):
         path = tmp_path / "q.json"
-        save_instance(path, generate_quadratic(4, 10.0, 2), 2)
+        save_instance(path, {"n": 4, "kappa": 10.0, "s": 2, "seed": 2})
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -325,7 +335,7 @@ class TestInstanceRoundTrip:
         for n, kappa, seed in ((2, 1.0, 0), (10, 10.0, 1), (25, 100.0, 2), (50, 1000.0, 3)):
             inst = generate_quadratic(n, kappa, seed)
             path = tmp_path / f"q{n}.json"
-            save_instance(path, inst, 1)
+            save_instance(path, {"n": n, "kappa": kappa, "s": 1, "seed": seed})
             problem, info = load_instance(path)
             assert info["kappa"] == kappa and info["seed"] == seed
             x = np.random.default_rng(seed).normal(size=n)

@@ -14,6 +14,7 @@ from sparsemoo import (
     sfsd_run,
     theta_subspace,
 )
+from sparsemoo import sfsd
 from sparsemoo.sfsd import ArchiveEntry, ParetoArchive, assign_super_support
 
 
@@ -229,6 +230,24 @@ class TestInitialize:
     def test_n_starts_validation(self, example_problem):
         with pytest.raises(ValueError):
             initialize(example_problem, 1, "moiht", 0, 0, (-2.0, 2.0))
+
+    def test_full_support_outputs_evaluated_once(self, example_problem, monkeypatch):
+        # a full-support output is its own super support: the objectives taken
+        # for the finiteness check are its cached fvals, bit for bit
+        seen = []
+
+        def ev(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return example_problem.evaluate(x)
+
+        p = MultiObjectiveProblem(n=2, m=2, evaluate=ev, gradient=example_problem.gradient,
+                                  lipschitz=example_problem.lipschitz)
+        points = [np.array([2.0, 0.0]), np.array([0.0, 1.5]), np.array([1.25, 0.0])]
+        monkeypatch.setattr(sfsd, "solve_starts", lambda *args: (points, [0] * len(points)))
+        arch = initialize(p, 1, "moiht", len(points), 0, (-2.0, 2.0), SolverConfig(L=1.01))
+        assert sorted(seen) == sorted(x.tobytes() for x in points)
+        for e in arch.entries():
+            assert e.fvals.tobytes() == example_problem.evaluate(e.x).tobytes()
 
 
 class TestSfsdRun:
