@@ -411,8 +411,9 @@ def cmd_profiles(args) -> int:
 
 
 def _load_manifest(path):
-    """The manifest JSON, with its defaults filled in, every value checked and
-    every instance name (the file stem each output is keyed by) unique."""
+    """The manifest JSON, with its defaults filled in, every value checked,
+    every instance name (the file stem each output is keyed by) unique and
+    every instance ``path`` naming a file."""
     manifest = read_json(path)
     source = f"{path}: manifest"
     if not isinstance(manifest, dict):
@@ -420,7 +421,7 @@ def _load_manifest(path):
     instances = manifest.get("instances")
     if not isinstance(instances, list) or not instances:
         raise DataError(f"{source} 'instances' must be a non-empty list")
-    stems = {}
+    stems, files = {}, {}
     for i, entry in enumerate(instances):
         if not isinstance(entry, dict):
             raise DataError(f"{source} 'instances[{i}]' must be an object")
@@ -428,7 +429,8 @@ def _load_manifest(path):
             if not isinstance(entry["path"], str):
                 raise DataError(
                     f"{source} 'instances[{i}].path' must be a string, got {entry['path']!r}")
-            stem = (path.parent / entry["path"]).resolve().stem
+            files[i] = (path.parent / entry["path"]).resolve()
+            stem = files[i].stem
         else:
             if entry.get("type") != "example4":
                 entry.setdefault("seed", 0)
@@ -438,6 +440,9 @@ def _load_manifest(path):
             raise DataError(f"{source} 'instances[{stems[stem]}]' and 'instances[{i}]' are both "
                             f"named {stem!r}; instance names must be unique")
         stems[stem] = i
+    for i, file in files.items():
+        if not file.is_file():
+            raise DataError(f"{source} 'instances[{i}].path' names no file: {file}")
     strategies = manifest.setdefault("strategies", ["mohyb"])
     if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
         raise DataError(f"{source} 'strategies' must be a list drawn from {list(STRATEGIES)}")
@@ -459,22 +464,20 @@ def cmd_reproduce(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = _load_manifest(manifest_path)
     out_dir = Path(manifest["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     strategies, run_seeds = manifest["strategies"], manifest["run_seeds"]
 
-    # Materialize instances first; every referenced file must exist up front.
-    inst_dir = out_dir / "instances"
-    inst_files = []
-    for entry in manifest["instances"]:
-        if "path" in entry:
-            path = (manifest_path.parent / entry["path"]).resolve()
-            if not path.exists():
-                raise DataError(f"manifest references missing instance {path}")
-        else:
-            path = inst_dir / instance_name(entry)
+    # Every instance file named by the manifest is loaded, and so checked,
+    # before anything is written; then the generated ones are saved.
+    entries = manifest["instances"]
+    inst_files = [(manifest_path.parent / entry["path"]).resolve() if "path" in entry
+                  else out_dir / "instances" / instance_name(entry) for entry in entries]
+    loaded = [load_instance(path) if "path" in entry else None
+              for entry, path in zip(entries, inst_files)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, (entry, path) in enumerate(zip(entries, inst_files)):
+        if loaded[i] is None:
             save_instance(path, entry)
-        inst_files.append(path)
-    loaded = [load_instance(path) for path in inst_files]
+            loaded[i] = load_instance(path)
 
     # Runs go serially in manifest order: instance, strategy, run seed.
     by_instance: dict = {}

@@ -11,11 +11,14 @@ convex min-max direction subproblems:
   that keep ``x + d`` feasible; zero value is the L-stationarity test.
 
 The last two minimize an on-support value over size-s supports.  One kernel
-(:func:`_best_support`) finds the lexicographically first minimizer: past
-:func:`_screen_min` candidates a Lagrangian bound (:func:`_screen`) first
-fixes coordinates in or out of every minimizer, and only the supports that
+(:func:`_best_support`) finds the lexicographically first minimizer.  Past
+:func:`_screen_min` candidates a Lagrangian bound first tries to prove one
+candidate the unique minimizer with one simplex-QP solve
+(:func:`_certify`).  When it cannot, the same bound (:func:`_screen`) fixes
+coordinates in or out of every minimizer, and only the supports that
 respect those fixings are scored (at most ``MAX_SUPPORTS``), in the same
-order and by the same arithmetic.
+order and by the same arithmetic.  Either way the result is bit-identical
+to scoring every support.
 """
 
 from __future__ import annotations
@@ -153,12 +156,13 @@ def _with_fixed(fixed, rows) -> np.ndarray:
     """The sorted supports ``fixed ∪ rows[i]`` for a block of sorted rows.
 
     Adding the same coordinates to every row keeps the lexicographic order
-    of the block.
+    of the block.  The rows are C-ordered like the enumerated blocks, since
+    :func:`_scores` rounds a Fortran-ordered gather differently.
     """
     if not fixed.size:
         return rows
-    return np.sort(np.concatenate(
-        [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1)
+    return np.ascontiguousarray(np.sort(np.concatenate(
+        [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1))
 
 
 def _screen(grads, x, L, fixed, free, k):
@@ -202,13 +206,63 @@ def _screen(grads, x, L, fixed, free, k):
     return fixed, free[keep_free], k - int(keep_in.sum())
 
 
-def _best_support(grads, x, L, s, fixed) -> SupportSet:
-    """Lexicographically first size-s superset of ``fixed`` minimizing
-    :func:`_scores`.
+def _pinned_qp(grads, x, L, cols):
+    """The move pinned to ``-x`` off ``cols`` (zero on it) and the simplex-QP
+    solution on ``cols``: the final solve of :func:`theta_L`."""
+    d = -x
+    d[cols] = 0.0
+    b = grads.dot(d) + 0.5 * L * d.dot(d)
+    return d, solve_simplex_qp(grads[:, cols].T, b=b, L=L)
 
-    Above :func:`_screen_min` candidates :func:`_screen` first narrows them; the
-    rows it keeps are still scored in lexicographic order, so the returned
-    support is the one a full enumeration returns.  Raises
+
+def _top_k(grads, x, L, fixed, free, k, lam):
+    """The top k of r over ``free`` at weights ``lam`` (see :func:`_screen`),
+    sorted, and a lower bound on theta over every other ``fixed ∪ E``: the
+    best other E swaps the k-th largest r for the (k+1)-th."""
+    g = lam.dot(grads)
+    r = 0.5 * L * (x - g / L) ** 2
+    rf = r[free]
+    order = np.argsort(-rf)
+    rs = rf[order]
+    S = 0.5 * L * x.dot(x) - g.dot(x) - r[fixed].sum()
+    return np.sort(free[order[:k]]), S - rs[:k - 1].sum() - rs[k]
+
+
+def _certify(grads, x, L, fixed, free, k):
+    """The support ``fixed ∪ E`` (E a size-k subset of ``free``) and its
+    pinned solve ``(d, sol)`` if it is proven the unique minimizer, else None.
+
+    The candidate E is the top k of r at uniform weights; its pinned solve
+    gives the value U and weights lam.  If E is again the top k at lam and
+    :func:`_top_k`'s bound there exceeds U by :func:`_screen`'s rounding
+    margin, every other support is worse.  If another set is the top k at
+    lam, that set is tried once in turn.
+    """
+    m = grads.shape[0]
+    E = _top_k(grads, x, L, fixed, free, k, np.full(m, 1.0 / m))[0]
+    for _ in range(2):  # the candidate, then at most one re-pick
+        K = np.sort(np.concatenate([fixed, E]))
+        d, sol = _pinned_qp(grads, x, L, K)
+        top, bound = _top_k(grads, x, L, fixed, free, k, sol.lam)
+        if not np.array_equal(top, E):
+            E = top
+            continue
+        A = np.abs(grads).max(axis=0)
+        tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(sol.theta))
+        return (SupportSet(tuple(K.tolist()), x.size), (d, sol)) if bound > sol.theta + tol else None
+    return None
+
+
+def _best_support(grads, x, L, s, fixed):
+    """Lexicographically first size-s superset of ``fixed`` minimizing
+    :func:`_scores`, and the pinned solve on it when the certificate found it.
+
+    Above :func:`_screen_min` candidates :func:`_certify` first tries to
+    prove one support the unique minimizer with a single simplex-QP solve
+    (two when it re-picks), and returns it with that solve ``(d, sol)``.
+    When it declines, :func:`_screen` narrows the candidates; the rows it
+    keeps are still scored in lexicographic order, so the returned support
+    is the one a full enumeration returns, and the solve is None.  Raises
     :class:`CapacityError` when more than ``MAX_SUPPORTS`` rows are left to
     score after the screen.
     """
@@ -219,6 +273,9 @@ def _best_support(grads, x, L, s, fixed) -> SupportSet:
     k = s - fixed.size
     # a single candidate (k = 0, or all of free) needs no screen
     if math.comb(free.size, k) > max(_screen_min(grads.shape[0]), 1):
+        certified = _certify(grads, x, L, fixed, free, k)
+        if certified is not None:
+            return certified
         fixed, free, k = _screen(grads, x, L, fixed, free, k)
     total = math.comb(free.size, k)
     if total > MAX_SUPPORTS:
@@ -232,7 +289,9 @@ def _best_support(grads, x, L, s, fixed) -> SupportSet:
         i = int(np.argmin(thetas))
         if thetas[i] < best_theta:
             best_theta, best_K = thetas[i], K[i]
-    return SupportSet(tuple(best_K.tolist()), n)
+    if best_K is None:  # every score is NaN, which a non-finite gradient makes
+        raise ValueError("non-finite inputs to the direction subproblem")
+    return SupportSet(tuple(best_K.tolist()), n), None
 
 
 def _as_support(J, n: int) -> SupportSet:
@@ -289,7 +348,7 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
     x, s = check_point(x, s, p.n)
     grads = np.asarray(p.gradient(x), dtype=float)
     # theta_L's search at the origin (zero offsets), L = 1, support of x forced in
-    best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x))
+    best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x))[0]
     sol = _subspace_direction(grads, None, best_J.as_array())
     return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
 
@@ -304,18 +363,17 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     strongly convex min-max is solved exactly.  The minimum over K is the
     global optimum; the lexicographically first minimizer is returned.  Up
     to :func:`_screen_min` supports every one is scored; beyond that a
-    Lagrangian bound rules coordinates in or out first and only the supports
-    that can still attain the minimum are scored.
+    Lagrangian bound first tries to certify one support optimal, and when
+    it cannot, rules coordinates in or out and scores only the supports
+    that can still attain the minimum.  A certified support's QP solve is
+    the final solve, the same call on the same arrays.
     """
     x, s = check_point(x, s, p.n)
     check_number("L", L, 0, open_low=True)
     grads = np.asarray(p.gradient(x), dtype=float)
-    best_K = _best_support(grads, x, L, s, np.array([], dtype=np.intp))
+    best_K, solved = _best_support(grads, x, L, s, np.array([], dtype=np.intp))
     cols = best_K.as_array()
-    d_full = -x  # pinned off the support
-    d_full[cols] = 0.0
-    b = grads.dot(d_full) + 0.5 * L * d_full.dot(d_full)
-    sol = solve_simplex_qp(grads[:, cols].T, b=b, L=L)
+    d_full, sol = solved or _pinned_qp(grads, x, L, cols)
     d_full[cols] = sol.d
     # d = 0 is feasible, so the true optimum is <= 0 regardless of K.
     theta = min(sol.theta, 0.0)

@@ -506,6 +506,22 @@ class TestReproduce:
         }))
         assert run("reproduce", manifest) == 1
 
+    @pytest.mark.parametrize("content, named", [
+        (None, "'instances[1].path' names no file"),
+        ('{"type": "quadratic", "n": 6}', "bad.json"),
+    ], ids=["missing", "malformed"])
+    def test_instance_files_checked_before_writing(self, tmp_path, capsys, content, named):
+        if content is not None:
+            (tmp_path / "bad.json").write_text(content)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "instances": [{"type": "example4", "s": 1}, {"path": "bad.json"}],
+        }))
+        assert run("reproduce", manifest) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         outputs = []
         for sub in ("o1", "o2"):

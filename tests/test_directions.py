@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemoo import (
     CapacityError,
     MultiObjectiveProblem,
     SupportSet,
+    default_config,
     generate_quadratic,
     is_L_stationary,
     is_pareto_stationary,
@@ -16,6 +19,8 @@ from sparsemoo import (
     theta_feasible,
     theta_subspace,
 )
+
+from sparsemoo.sfsd import solve_starts
 
 from conftest import single_objective_quadratic, stacked_quadratics
 from oracles import enum_theta_L, enum_theta_feasible, scaled_gap
@@ -228,6 +233,22 @@ class TestThetaL:
         with pytest.raises(CapacityError):
             theta_L(p, np.zeros(30), 15, 1.0)
 
+    @pytest.mark.parametrize("n", [6, 20])  # all supports scored, or the certificate
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_rejected(self, n, bad):
+        p = generate_quadratic(n, 10.0, 0).problem()
+
+        def gradient(x):
+            g = p.gradient(x)
+            g[1, 3] = bad
+            return g
+
+        broken = dataclasses.replace(p, gradient=gradient)
+        x = project_sparse(np.random.default_rng(0).normal(size=n), 3)
+        for call in (lambda: theta_L(broken, x, 3, 11.0), lambda: theta_feasible(broken, x, 3)):
+            with pytest.raises(ValueError, match="non-finite inputs"):
+                call()
+
     def test_invalid_inputs(self, example_problem):
         with pytest.raises(ValueError, match="nonzeros is infeasible"):
             theta_L(example_problem, np.array([1.0, 1.0]), 1, 1.0)  # infeasible
@@ -351,6 +372,19 @@ def conditioned_problem(n, m, kappa, seed):
     )
 
 
+def near_tie_problem(m):
+    """``f_j(x) = 0.5 ||x - a / j||^2``, j = 1..m, n = 8: at the origin r ranks
+    the coordinates by |a| at every weight, and the 3rd and 4th largest |a|
+    are 1e-14 apart relative to each other, far below the bound's margin."""
+    a = np.array([3.0, 0.5, 1.0, -2.0, 0.25, -1.0 - 1e-14, 0.75, 0.1])
+    return MultiObjectiveProblem(
+        n=8, m=m,
+        evaluate=lambda x: np.array([0.5 * (x - a / j) @ (x - a / j) for j in range(1, m + 1)]),
+        gradient=lambda x: np.stack([x - a / j for j in range(1, m + 1)]),
+        lipschitz=np.ones(m),
+    )
+
+
 class TestScreenedSearch:
     """Past ``_screen_min(m)`` candidates a Lagrangian bound fixes
     coordinates before any support is scored; support, theta, d and lambda
@@ -373,6 +407,8 @@ class TestScreenedSearch:
         for kappa in (1.0, 10.0, 100.0):
             for s in (2, 4, 7):
                 yield stacked_quadratics(10, 3, 0, kappa), s
+        for m in (1, 2):
+            yield near_tie_problem(m), 3
 
     def results(self, p, s):
         rng = np.random.default_rng(p.n * 10 + p.m)
@@ -401,9 +437,7 @@ class TestScreenedSearch:
         assert full[12][0][0] == full[12][1][0] == (0, 1, 2)
         assert full[13][0][0] == full[13][1][0] == (0, 1, 2)
 
-    def test_three_objectives_screen_by_default(self, monkeypatch):
-        # one simplex-QP solve per support: with m >= 3 every search past a
-        # single candidate is screened, with m <= 2 only past 2,000
+    def count_screens(self, monkeypatch):
         import sparsemoo.directions as directions
 
         screens = []
@@ -414,10 +448,41 @@ class TestScreenedSearch:
             return real(grads, *args)
 
         monkeypatch.setattr(directions, "_screen", counting)
+        return screens
+
+    def screen_calls(self):
         x = project_sparse(np.random.default_rng(3).normal(size=10), 3)
         theta_L(stacked_quadratics(10, 3, 0), x, 3, 11.0)
         theta_L(generate_quadratic(10, 10.0, 0).problem(), x, 3, 11.0)
+
+    def test_three_objectives_screen_by_default(self, monkeypatch):
+        # one simplex-QP solve per support: with m >= 3 every search past a
+        # single candidate is screened, with m <= 2 only past 2,000 (the
+        # certificate declined, so the screen runs where it is tried)
+        import sparsemoo.directions as directions
+
+        screens = self.count_screens(monkeypatch)
+        monkeypatch.setattr(directions, "_certify", lambda *args: None)
+        self.screen_calls()
         assert screens == [3]
+
+    def test_certificate_skips_the_screen(self, monkeypatch):
+        # the same calls: the m = 3 search is settled by the certificate
+        screens = self.count_screens(monkeypatch)
+        self.screen_calls()
+        assert screens == []
+
+    def test_near_ties_reach_the_fallback(self, monkeypatch):
+        # the certificate tried on every search must decline near ties
+        import sparsemoo.directions as directions
+
+        screens = self.count_screens(monkeypatch)
+        monkeypatch.setattr(directions, "_screen_min", lambda m: 0)
+        for m in (1, 2):
+            p = near_tie_problem(m)
+            theta_L(p, np.zeros(8), 3, 1.1)
+            theta_feasible(p, np.zeros(8), 3)
+        assert screens == [1, 1, 2, 2]
 
     def test_ill_conditioned_certificate(self):
         # kappa = 1000 puts |H| near 7e6; the dual weights must still meet a
@@ -430,10 +495,10 @@ class TestScreenedSearch:
         G = np.asarray(p.gradient(x), dtype=float)[:, sol.support.as_array()].T
         assert scaled_gap(G, np.zeros(p.m), 1.0, sol.lam) <= 1e-12
 
-    def test_scores_few_supports(self, quadratic_factory, monkeypatch):
+    def score_calls(self, monkeypatch):
         import sparsemoo.directions as directions
 
-        p = quadratic_factory(n=20, kappa=10.0, seed=0)
+        p = generate_quadratic(20, 10.0, 0).problem()
         x = project_sparse(np.random.default_rng(0).normal(size=20), 5)
         L = 1.1 * float(p.lipschitz.max())
         rows = []
@@ -449,8 +514,80 @@ class TestScreenedSearch:
         for call in calls:
             rows.clear()
             call()
-            # C(20, 5) = 15,504 supports; the bound leaves a handful to score
-            assert 0 < sum(rows) <= 50
+            yield sum(rows)
+
+    def test_scores_few_supports(self, monkeypatch):
+        # C(20, 5) = 15,504 supports; with the certificate declined the bound
+        # leaves a handful to score
+        import sparsemoo.directions as directions
+
+        monkeypatch.setattr(directions, "_certify", lambda *args: None)
+        for scored in self.score_calls(monkeypatch):
+            assert 0 < scored <= 50
+
+    def test_certificate_scores_no_support(self, monkeypatch):
+        # at x one pinned solve settles the search.  At the origin the two
+        # objectives pull apart: the optimal support is not the top k of r at
+        # its own weights, so no weight proves it and the fallback runs
+        screens = self.count_screens(monkeypatch)
+        at_x, *at_origin = self.score_calls(monkeypatch)
+        assert at_x == 0
+        assert all(at_origin) and screens == [2, 2]
+
+    @pytest.mark.parametrize("strategy, n_starts, share", [("moiht", 3, 0.9),
+                                                            ("scalarized", 1, 0.99)])
+    def test_certificate_settles_most_searches(self, monkeypatch, strategy, n_starts, share):
+        import sparsemoo.solvers as solvers
+
+        p = generate_quadratic(20, 10.0, 0).problem()
+        screens = self.count_screens(monkeypatch)
+        calls = []
+        real = solvers.theta_L
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "theta_L", counting)
+        solve_starts(p, 5, strategy, n_starts, 0, (-2.0, 2.0), default_config(p))
+        assert len(calls) > 100
+        assert len(calls) - len(screens) >= share * len(calls)
+
+
+@st.composite
+def gridded_search(draw):
+    """Gradients and a point on a coarse integer grid scaled by 10^j, so
+    that exact and near ties between supports are common."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 9))
+    s = draw(st.integers(1, n - 1))
+    scale = 10.0 ** draw(st.integers(-3, 4))
+    cells = st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)
+    grads = np.array(draw(cells), dtype=float).reshape(m, n) * scale
+    x = project_sparse(np.array(draw(cells)[:n], dtype=float) * scale, s)
+    L = draw(st.sampled_from([0.5, 1.0, 1.1, 3.0]))
+    return grads, x, s, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(gridded_search())
+def test_certified_matches_full_enumeration(search):
+    import sparsemoo.directions as directions
+
+    grads, x, s, L = search
+    m, n = grads.shape
+    p = MultiObjectiveProblem(n=n, m=m, evaluate=lambda x: np.zeros(m),
+                              gradient=lambda x: grads.copy(), lipschitz=np.ones(m))
+
+    def results():
+        return [(sol.support.indices, sol.theta, sol.d.tobytes(), sol.lam.tobytes())
+                for sol in (theta_L(p, x, s, L), theta_feasible(p, x, s))]
+
+    # a function-scoped monkeypatch fixture would outlive the examples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(directions, "_screen_min", lambda m: 10**18)
+        full = results()
+        mp.setattr(directions, "_screen_min", lambda m: 0)  # certificate on every search
+        assert results() == full
 
 
 class TestStationarityTests:
