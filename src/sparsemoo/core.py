@@ -23,6 +23,15 @@ ZERO_TOL = 1e-12
 # Cap on enumerated supports or super support sets; beyond it CapacityError.
 MAX_SUPPORTS = 2_000_000
 
+# u = 2^-53, the relative rounding error of one float64 operation.  Each
+# line model (MultiObjectiveProblem.line) derives a bound on its rounding in
+# units of u and returns LINE_SAFETY times it: the derivations take libm's
+# and BLAS's accuracy on trust, and a bound about 1e3 times above any
+# rounding seen still lies far below the objective changes a line search
+# decides on, so the factor costs next to no skipped trials.
+UNIT_ROUNDOFF = 2.0 ** -53
+LINE_SAFETY = 1024.0
+
 
 class CapacityError(RuntimeError):
     """A support enumeration would exceed ``MAX_SUPPORTS``."""
@@ -151,6 +160,26 @@ class MultiObjectiveProblem:
         ``x -> (m, n) array``; row ``j`` is the gradient of objective ``j``.
     lipschitz : (m,) array
         Per-objective gradient Lipschitz constants, all positive.
+    line : callable or None
+        Optional model of the objectives along a line, used only to skip
+        line-search trials that ``evaluate`` would reject anyway.
+        ``line(x, d)`` returns four length-``m`` sequences of floats
+        ``(slope, lo, hi, err)`` such that for every step ``a`` in
+        ``[0, 1]`` and every objective ``j``::
+
+            a*slope[j] + a*a*lo[j]/2 - err[j]
+                <= evaluate(x + a*d)[j] - evaluate(x)[j]
+                <= a*slope[j] + a*a*hi[j]/2 + err[j]
+
+        Both ``evaluate`` values are the oracle's floating-point outputs
+        (``x + a*d`` rounded as numpy rounds it) and the inequalities hold
+        in exact arithmetic on the returned floats, so ``err[j]`` bounds the
+        rounding of both evaluations and of the model itself.  ``err[j]``
+        is also at least ``8 * UNIT_ROUNDOFF`` times ``|evaluate(z)[j]|``
+        at ``x`` and at every such trial point ``z``, so a wrapper that adds
+        a term to ``f_j`` can charge the rounding of that sum to it.
+        ``None`` (the default) runs every search on the oracle alone, and
+        every result is the same either way.
     """
 
     n: int
@@ -158,6 +187,7 @@ class MultiObjectiveProblem:
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     lipschitz: np.ndarray
+    line: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         lip = np.asarray(self.lipschitz, dtype=float)

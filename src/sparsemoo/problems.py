@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, MultiObjectiveProblem, check_number
+from .core import LINE_SAFETY, UNIT_ROUNDOFF, DataError, MultiObjectiveProblem, check_number
 
 _MISSING = {"", "?", "na", "nan"}
 
@@ -166,7 +166,53 @@ class QuadraticInstance:
         return MultiObjectiveProblem(
             n=self.n, m=2, evaluate=ev, gradient=grad,
             lipschitz=np.array([self.kappa, self.kappa]),
+            line=_quadratic_line(np.stack([Q1, Q2]), np.stack([c1, c2])),
         )
+
+
+def _quadratic_line(Qs, cs):
+    """Exact line model of ``f_j(x) = 0.5 x^T Q_j x - c_j^T x`` as
+    :meth:`QuadraticInstance.problem` evaluates it (the ``line`` contract of
+    :class:`MultiObjectiveProblem`); ``Qs`` is ``(m, n, n)``, ``cs`` ``(m, n)``.
+
+    Along ``x + a d`` each ``f_j`` changes by ``a s_j + a^2 q_j / 2`` with
+    ``s_j = x^T Q_j d - c_j^T d`` and ``q_j = d^T Q_j d``, so ``lo = hi = q``;
+    one product ``Q_j d`` per objective gives both.
+
+    Rounding bound, in ``u = 2^-53``.  A k-term dot product in any summation
+    order errs by at most ``g_k sum|terms|``, ``g_k = k u / (1 - k u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    sec. 3.1).  Let ``A_j`` be the largest row sum of ``|Q_j|`` (so
+    ``|v|^T |Q_j| |w| <= A_j ||v|| ||w||``), ``C_j = ||c_j||``,
+    ``R = ||x|| + ||d||`` and ``M_j = A_j R^2 / 2 + C_j R``.  Every point z
+    a search evaluates is ``x`` or ``x + a d`` rounded, ``||z|| <= (1 + 2u) R``:
+
+    * one evaluation ``0.5 * z.(Q_j z) - c_j.z`` errs by ``<= g_{2n+1} M_j (1 + 5u)``;
+    * rounding ``x + a d`` to z moves ``f_j`` by ``<= 4.01 u M_j``;
+    * ``s_j`` and ``q_j`` as computed move the model by
+      ``a |ds_j| + a^2 |dq_j| / 2 <= g_{2n+1} M_j``.
+
+    Together, for ``n u < 1e-3``, at most ``(7 n + 8) u M_j``.  ``err_j`` is
+    ``LINE_SAFETY`` times that, which also absorbs the rounding of ``A_j``,
+    ``C_j``, ``R`` and ``err_j`` themselves.  Since ``|f_j(z)| <= M_j``,
+    ``err_j >= 8 u |f_j(z)|`` as the contract asks.
+    """
+    m, n = cs.shape
+    mn = m * n
+    B = np.vstack([Qs.reshape(mn, n), cs])  # one product gives every Q_j d and c_j.d
+    A = np.abs(Qs).sum(axis=2).max(axis=1).tolist()
+    C = np.sqrt((cs * cs).sum(axis=1)).tolist()
+    k = LINE_SAFETY * (7 * n + 8) * UNIT_ROUNDOFF
+
+    def line(x, d):
+        Bd = B.dot(d)
+        Qd = Bd[:mn].reshape(m, n)
+        q = Qd.dot(d).tolist()
+        R = math.sqrt(x.dot(x)) + math.sqrt(d.dot(d))
+        slope = [a - b for a, b in zip(Qd.dot(x).tolist(), Bd[mn:].tolist())]
+        return slope, q, q, [k * R * (0.5 * a * R + c) for a, c in zip(A, C)]
+
+    return line
 
 
 def generate_quadratic(n: int, kappa: float, seed: int) -> QuadraticInstance:
@@ -214,8 +260,32 @@ def example_biobjective() -> MultiObjectiveProblem:
     def grad(x):
         return np.array([x - a1, x - a2])
 
+    # Exact line model: f_j(x + a d) - f_j(x) = a (x - a_j).d + a^2 ||d||^2 / 2.
+    # Rounding bound in u = 2^-53 (see _quadratic_line for g_k), with
+    # D_j = ||x - a_j|| + ||d|| and R = ||x|| + ||d||: each evaluation of
+    # 0.5 * (z - a_j).(z - a_j) errs by <= (1 + 0.51 n) u ||z - a_j||^2 (1.001),
+    # where ||z - a_j|| <= D_j + 2.01 u R; rounding x + a d to z moves f_j by
+    # <= 2.01 u D_j R + 2.1 u^2 R^2; the computed slope and curvature move the
+    # model by <= 0.51 (n + 1) u D_j^2.  Together at most
+    # u ((1.6 n + 3) D_j^2 + 2.1 D_j R + 2.2 u R^2); err_j is LINE_SAFETY
+    # times u ((2n + 3) D_j^2 + 3 D_j R + 3 u R^2), 2n + 3 = 7 here, and at
+    # least 8 u |f_j| along the segment.
+    k = LINE_SAFETY * UNIT_ROUNDOFF
+
+    def line(x, d):
+        nd = math.sqrt(d.dot(d))
+        R = math.sqrt(x.dot(x)) + nd
+        slope, err = [], []
+        for a in (a1, a2):
+            diff = x - a
+            D = math.sqrt(diff.dot(diff)) + nd
+            slope.append(float(diff.dot(d)))
+            err.append(k * (7.0 * D * D + 3.0 * D * R + 3.0 * UNIT_ROUNDOFF * R * R))
+        q = [float(d.dot(d))] * 2
+        return slope, q, q, err
+
     return MultiObjectiveProblem(n=2, m=2, evaluate=ev, gradient=grad,
-                                 lipschitz=np.array([1.0, 1.0]))
+                                 lipschitz=np.array([1.0, 1.0]), line=line)
 
 
 def _power_spectral_norm(R: np.ndarray) -> float:
@@ -249,6 +319,33 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
     is ``-(1/N) sum_i t_i sigma(-t_i w^T r_i) r_i``; the cached Lipschitz
     constants are ``(||R^T R||_2 / N, 1)``, the first estimated from below
     by :func:`_power_spectral_norm`.
+
+    The ``line`` model: the regularizer is exact (slope ``w.d``, curvature
+    ``||d||^2``).  The loss has slope ``grad f_1(w).d`` and curvature in
+    ``[0, L1 ||d||^2]``: its Hessian is ``(1/N) R^T diag(sigma') R`` with
+    ``sigma' <= 1/4``, so the declared ``L1 = lambda_max(R^T R) / N`` is 4x
+    the real curvature bound, which covers the power-iteration
+    underestimate.  Rounding bounds, in ``u = 2^-53`` with ``g_k`` as in
+    :func:`_quadratic_line`, ``rho`` the largest sample norm,
+    ``W = ||w|| + ||d||``, ``P = rho W`` and libm's ``exp`` and ``log1p``
+    within 2 ulp (glibc's are within 1):
+
+    * loss: a margin errs by ``<= g_n rho ||w||`` and the loss is
+      1-Lipschitz in each margin; ``logaddexp`` rounds each term by
+      ``<= 10 u`` relative; the sum and the division add ``g_N + u``; each
+      term is at most ``log 2 + P``.  One evaluation errs by
+      ``<= (n + N + 12) 1.002 u (log 2 + P)``, rounding ``w + a d`` moves
+      the loss by ``<= 2.01 u P`` (it is ``rho``-Lipschitz), and the
+      computed slope errs by ``<= 1.002 u ((n + N + 8) P + n P^2 / 16)``.
+      Together ``<= u ((3.01 (n + N) + 35)(log 2 + P) + 0.07 n P^2)``;
+      ``err_1`` is ``LINE_SAFETY`` times
+      ``u ((4 (n + N) + 40)(log 2 + P) + n P^2 / 8)``.
+    * regularizer: two evaluations ``<= g_n W^2``, rounding ``w + a d``
+      ``<= 2.01 u W^2``, the model ``<= g_n W^2 / 2``: together
+      ``<= (1.51 n + 2.02) u W^2``; ``err_2`` is ``LINE_SAFETY`` times
+      ``(2n + 3) u W^2``.
+
+    Both are at least ``8 u |f_j|`` along the segment.
     """
     R = np.asarray(R, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -274,8 +371,21 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
         g1 = -RT.dot(t * expit(-margins)) / N
         return np.array([g1, w])
 
+    rho = float(np.sqrt((R * R).sum(axis=1)).max())
+    k1 = LINE_SAFETY * UNIT_ROUNDOFF * (4 * (n + N) + 40)
+    k2 = LINE_SAFETY * UNIT_ROUNDOFF * (2 * n + 3)
+    log2 = math.log(2.0)
+
+    def line(w, d):
+        s1 = -(t * expit(-(t * R.dot(w)))).dot(R.dot(d)) / N
+        q = float(d.dot(d))
+        W = math.sqrt(w.dot(w)) + math.sqrt(q)
+        P = rho * W
+        err1 = k1 * (log2 + P) + LINE_SAFETY * UNIT_ROUNDOFF * n * P * P / 8.0
+        return [float(s1), float(w.dot(d))], [0.0, q], [L1 * q, q], [err1, k2 * W * W]
+
     return MultiObjectiveProblem(n=n, m=2, evaluate=ev, gradient=grad,
-                                 lipschitz=np.array([L1, 1.0]))
+                                 lipschitz=np.array([L1, 1.0]), line=line)
 
 
 def load_dataset(path, label_column: str):

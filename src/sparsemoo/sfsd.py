@@ -9,6 +9,7 @@ its own mutually nondominated slice of the front.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .core import (
 )
 from .directions import theta_feasible, theta_subspace
 from .solvers import (
+    STEP_SLACK,
     SolverConfig,
     armijo_common,
     backtrack,
@@ -38,6 +40,7 @@ from .solvers import (
     moiht,
     mosd,
     mospd,
+    positive_root,
     scalarized_iht,
 )
 
@@ -325,6 +328,11 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
     otherwise unbounded dyadic fill-in of the front.  Returns
     ``(alpha, point, fvals)`` or ``(0.0, None, None)`` when every candidate
     fails (the step is then skipped entirely).
+
+    z is one of the mates, so with a ``p.line`` model the search ends at
+    the first step the model proves lands within ``spacing`` of z itself
+    (:func:`_spacing_floor`): every smaller step does too.  The result is
+    the same as without the model.
     """
     mate_F = np.array([m.fvals for m in mates])
     if spacing > 0.0 and mate_F.shape[0] > 1:
@@ -337,7 +345,43 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
         return (fc < mate_F).any(axis=1).all() and (
             scale is None or not (np.abs(fc - mate_F) / scale <= spacing).all(axis=1).any())
 
-    return backtrack(p, z_entry.x, d, cfg, accept)
+    floor = 0.0
+    # entries compare by identity (eq=False), so ``in`` finds z itself
+    if scale is not None and p.line is not None and z_entry in mates:
+        floor = _spacing_floor(p.line(z_entry.x, d), scale.tolist(), spacing)
+    return backtrack(p, z_entry.x, d, cfg, accept, (floor, math.inf))
+
+
+def _spacing_floor(model, scale, spacing: float) -> float:
+    """A step below which every candidate lands within ``spacing`` of z, or 0.
+
+    ``model = (s, lo, hi, e)`` is ``p.line(z, d)``, so for ``a <= 1``
+    ``|f_j(z + a d) - f_j(z)| <= B_j(a) = a |s_j| + a^2 M_j / 2 + e_j`` with
+    ``M_j = max(|lo_j|, |hi_j|)``, and ``B_j`` grows with ``a``.  The
+    spacing test divides the rounded difference by ``scale_j`` and compares
+    with ``spacing``, so it rejects the candidate once
+    ``(1 + u) B_j(a) <= spacing * scale_j`` for every objective with a
+    finite scale (flat ones only need ``B_j`` finite).  Per objective that
+    holds up to the root of ``B_j(a) = S_j = spacing * scale_j``, computed
+    only when ``e_j <= S_j / 2`` so that the root moves at most twice as
+    much, relatively, as ``S_j`` or ``e_j`` do; ``STEP_SLACK`` covers that
+    and the ``(1 + u)``.
+    """
+    floor = math.inf
+    for s, lo, hi, e, sc in zip(*model, scale):
+        M = max(abs(lo), abs(hi))
+        if not abs(s) + M + e < math.inf:
+            return 0.0  # no finite bound: the candidate's values are unknown
+        if sc == math.inf:
+            continue
+        S = spacing * sc
+        if not e <= 0.5 * S:
+            return 0.0
+        root = positive_root(M, abs(s), S - e)
+        if math.isnan(root):
+            return 0.0
+        floor = min(floor, root)
+    return floor * (1.0 - STEP_SLACK)
 
 
 def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,

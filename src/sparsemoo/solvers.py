@@ -4,22 +4,35 @@ baseline.
 
 Every step-size search backtracks over ``alpha0 * delta^h`` for
 ``h = 0..MAX_HALVINGS`` through :func:`backtrack`; only the acceptance test
-differs between callers.
+and the window of steps a line model leaves open differ between callers.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .core import MultiObjectiveProblem, SupportSet, check_number, check_point, project_sparse
+from .core import (
+    LINE_SAFETY,
+    UNIT_ROUNDOFF,
+    MultiObjectiveProblem,
+    SupportSet,
+    check_number,
+    check_point,
+    project_sparse,
+)
 from .directions import theta_L, theta_subspace
 
 # Backtracking tries alpha0 * delta^h for h = 0..MAX_HALVINGS, then gives up.
 MAX_HALVINGS = 50
+# Relative slack on a step bound derived from a line model: the bound is a
+# root computed in a few float operations, and a relative error e in its
+# inputs moves it by at most 2e relative, far below 2^-30.
+STEP_SLACK = 2.0 ** -30
 # Penalty decomposition per problem family: (tau growth, first inner
 # tolerance).  The inner tolerance shrinks by EPS_SHRINK per outer step and
 # the decomposition stops once ||x - y|| <= XY_TOL.
@@ -130,19 +143,77 @@ def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
 
 
 def backtrack(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, cfg: SolverConfig,
-              accept: Callable[[float, np.ndarray], bool]):
+              accept: Callable[[float, np.ndarray], bool], window=(0.0, math.inf)):
     """First step ``a = alpha0 * delta^h``, h = 0..MAX_HALVINGS, that passes
     ``accept(a, f(x + a d))``: returns ``(a, x + a d, f(x + a d))``, or
-    ``(0.0, None, None)`` when none does."""
+    ``(0.0, None, None)`` when none does.
+
+    ``window = (floor, ceiling)`` holds the steps that can still pass:
+    the caller has proven that ``accept`` rejects every step above
+    ``ceiling`` and every step below ``floor``, so those are not evaluated
+    and the search ends at the first step below ``floor``.  The result is
+    the one the full search returns, bit for bit; only the number of
+    ``evaluate`` calls differs.
+    """
     evaluate, delta = p.evaluate, cfg.armijo.delta
+    floor, ceiling = window
     a = cfg.armijo.alpha0
     for _ in range(MAX_HALVINGS + 1):
-        cand = x + a * d
-        fc = np.asarray(evaluate(cand), dtype=float)
-        if accept(a, fc):
-            return a, cand, fc
+        if a < floor:
+            break
+        if a <= ceiling:
+            cand = x + a * d
+            fc = np.asarray(evaluate(cand), dtype=float)
+            if accept(a, fc):
+                return a, cand, fc
         a *= delta
     return 0.0, None, None
+
+
+def _armijo_ceiling(model, theta: float, fx, idx, gamma: float) -> float:
+    """A step above which the line model proves the Armijo test fails, or ``inf``.
+
+    Write ``(s, lo, _, e) = model = p.line(x, d)`` and ``b_j = s_j - gamma theta``.
+    The search compares ``f_j(x + a d) <= fx_j + gamma * a * theta`` in
+    floats; that threshold lies within ``u |fx_j| + 4.01 u gamma |theta|``
+    of its exact value (``a <= alpha0 = 1``), and computing ``b_j`` errs by
+    ``<= u |s_j| + 2.01 u gamma |theta|``.  So with
+    ``c_j = e_j + 2 u (|fx_j| + |s_j| + 4 gamma |theta|)`` objective ``j``
+    rejects every step with ``a^2 lo_j / 2 + a b_j > c_j``; for
+    ``lo_j >= 0`` that is every step above the positive root.  This needs
+    ``fx`` to be the oracle's own ``f(x)``, as the ``ArchiveEntry`` and
+    :func:`mosd` contracts guarantee.  Objectives whose bound is not finite
+    are left out, and any one objective in ``idx`` that rejects a step
+    rejects it.
+    """
+    slope, lo, _, err = model
+    gt = gamma * theta
+    ceiling = math.inf
+    for j in idx:
+        if not lo[j] >= 0.0:
+            continue  # the rejected steps need not be a prefix
+        c = err[j] + 2.0 * UNIT_ROUNDOFF * (abs(fx[j]) + abs(slope[j]) + 4.0 * abs(gt))
+        root = positive_root(lo[j], slope[j] - gt, c) * (1.0 + STEP_SLACK)
+        if root < ceiling:  # never true for NaN
+            ceiling = root
+    return ceiling
+
+
+def positive_root(A: float, B: float, C: float) -> float:
+    """The step ``a >= 0`` with ``A a^2 / 2 + B a = C``, for ``A, C >= 0``.
+
+    Computed without cancellation, so it is within a few units in the last
+    place.  ``inf`` when the left side never reaches ``C`` (``A = 0``,
+    ``B <= 0``), NaN when the discriminant overflowed or is NaN.
+    """
+    disc = B * B + 2.0 * A * C
+    if not disc < math.inf:
+        return math.nan
+    if B > 0.0:
+        return 2.0 * C / (B + math.sqrt(disc))
+    if A > 0.0:
+        return (math.sqrt(disc) - B) / A
+    return math.inf
 
 
 def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: float,
@@ -155,6 +226,10 @@ def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: f
     it here.  ``I = None`` means every objective.  Returns ``(a, x + a d,
     f(x + a d))`` as :func:`backtrack` does, ``(0.0, None, None)`` if no step
     up to ``h = MAX_HALVINGS`` qualifies.
+
+    With a ``p.line`` model the steps it proves too long
+    (:func:`_armijo_ceiling`) are skipped without evaluating them; the
+    returned step, point and values are the same.
     """
     if theta >= 0:
         raise ValueError("the Armijo search needs a strictly negative theta")
@@ -164,15 +239,17 @@ def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: f
         fx = np.asarray(fx, dtype=float)
         if fx.shape != (p.m,):
             raise ValueError(f"fx must have shape ({p.m},), got {fx.shape}")
-    # all() over the list of m flags is ndarray.all() without its dispatch
     gamma = cfg.armijo.gamma
+    idx = range(p.m) if I is None else sorted(set(int(j) for j in I))
+    window = (0.0, math.inf if p.line is None
+              else _armijo_ceiling(p.line(x, d), theta, fx.tolist(), idx, gamma))
+    # all() over the list of m flags is ndarray.all() without its dispatch
     if I is None:
         return backtrack(p, x, d, cfg,
-                         lambda a, fc: all((fc <= fx + gamma * a * theta).tolist()))
-    idx = sorted(set(int(j) for j in I))
+                         lambda a, fc: all((fc <= fx + gamma * a * theta).tolist()), window)
     fx = fx[idx]
     return backtrack(p, x, d, cfg,
-                     lambda a, fc: all((fc[idx] <= fx + gamma * a * theta).tolist()))
+                     lambda a, fc: all((fc[idx] <= fx + gamma * a * theta).tolist()), window)
 
 
 def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
@@ -217,7 +294,32 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
 
 
 def _penalized(p: MultiObjectiveProblem, y: np.ndarray, tau: float) -> MultiObjectiveProblem:
-    """Objectives f_j(x) + (tau/2) ||x - y||^2 with matching oracles."""
+    """Objectives f_j(x) + (tau/2) ||x - y||^2 with matching oracles.
+
+    When ``p`` has a ``line`` model, so does the result: the penalty adds
+    ``tau (x - y).d`` to every slope and ``tau ||d||^2`` to every curvature
+    bound, exactly.  Its rounding, in ``u = 2^-53`` with
+    ``D = ||x - y|| + ||d||`` and ``R = D + ||y|| >= ||x|| + ||d||``:
+
+    * one evaluation of the penalty errs by
+      ``<= (n + 3) 1.002 u tau ||z - y||^2 / 2``, with
+      ``||z - y|| <= D + 2.01 u R``; adding it to ``f_j`` errs by
+      ``u (|f_j| + penalty)``, and ``2 u |f_j|`` over both evaluations is
+      at most ``err_j / 4`` of ``p`` by the contract;
+    * rounding ``x + a d`` moves the penalty by
+      ``<= 2.01 u tau D R + 2.1 u^2 tau R^2``;
+    * the computed penalty slope and curvature move the model by
+      ``<= (n + 2) 1.002 u tau D^2 / 2``;
+    * adding those to ``p``'s slope and curvature in floats moves the
+      model by ``<= 1.01 u (|slope_j| + max(|lo_j|, |hi_j|) / 2)`` of the
+      sums.
+
+    The first three come to ``<= u tau ((1.51 n + 5.1) D^2 + 2.1 D R +
+    2.2 u R^2)``.  The result's ``err_j`` is ``1.25 err_j`` of ``p`` plus
+    ``LINE_SAFETY`` times ``u tau ((2n + 6) D^2 + 3 D R + 3 u R^2) +
+    2 u (|slope_j| + max(|lo_j|, |hi_j|))``, and at least
+    ``8 u |f_j + penalty|``.
+    """
     y = np.asarray(y, dtype=float)
     evaluate, gradient, half_tau = p.evaluate, p.gradient, 0.5 * tau
 
@@ -228,8 +330,27 @@ def _penalized(p: MultiObjectiveProblem, y: np.ndarray, tau: float) -> MultiObje
     def grad(x):
         return np.asarray(gradient(x), dtype=float) + tau * (x - y)
 
+    inner, norm_y = p.line, math.sqrt(y.dot(y))
+    k, k_sum = LINE_SAFETY * UNIT_ROUNDOFF * tau, LINE_SAFETY * 2.0 * UNIT_ROUNDOFF
+
+    def line(x, d):
+        slope, lo, hi, err = inner(x, d)
+        diff = x - y
+        q = float(d.dot(d))
+        ts, tq = tau * float(diff.dot(d)), tau * q
+        D = math.sqrt(diff.dot(diff)) + math.sqrt(q)
+        R = D + norm_y
+        pen = k * ((2 * p.n + 6) * D * D + 3.0 * D * R + 3.0 * UNIT_ROUNDOFF * R * R)
+        slope = [s + ts for s in slope]
+        lo = [v + tq for v in lo]
+        hi = [v + tq for v in hi]
+        err = [1.25 * e + pen + k_sum * (abs(s) + max(abs(a), abs(b)))
+               for e, s, a, b in zip(err, slope, lo, hi)]
+        return slope, lo, hi, err
+
     return MultiObjectiveProblem(
-        n=p.n, m=p.m, evaluate=ev, gradient=grad, lipschitz=p.lipschitz + tau
+        n=p.n, m=p.m, evaluate=ev, gradient=grad, lipschitz=p.lipschitz + tau,
+        line=None if inner is None else line,
     )
 
 

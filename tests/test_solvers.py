@@ -217,21 +217,30 @@ class TestMosd:
                 assert out.tobytes() == reference_mosd(p, x0, J, eps, cfg).tobytes()
 
     def test_evaluates_once_at_x0_plus_once_per_trial(self):
-        searches, cases = 0, random_descent_cases(23)
+        # once at x0, then at most once per trial of the plain loop: the line
+        # models skip trials they prove rejected, never an accepted one
+        searches, skipped, cases = 0, 0, random_descent_cases(23)
         for p, x0, J in cases:
             cfg = replace(default_config(p), max_iter=300)
             rp, seen = recording(p)
-            mosd(rp, x0, J, 1e-7, cfg)
+            out = mosd(rp, x0, J, 1e-7, cfg)
             lean = list(seen)
             seen.clear()
             reference_mosd(rp, x0, J, 1e-7, cfg)
             # the plain loop re-evaluates each accepted trial point as f(x)
             # of the next search, right after the trial itself
             trials = [pt for i, pt in enumerate(seen) if i == 0 or pt != seen[i - 1]]
-            assert lean[0] == x0.tobytes()
-            assert lean == trials
-            searches += len(seen) - len(lean) + 1
+            accepted = {pt for i, pt in enumerate(seen) if i and pt == seen[i - 1]}
+            accepted |= {out.tobytes()} - {x0.tobytes()}
+            assert lean[0] == trials[0] == x0.tobytes()
+            assert len(set(lean)) == len(lean)  # no point is evaluated twice
+            rest = iter(trials[1:])
+            assert all(pt in rest for pt in lean[1:])  # in the plain loop's order
+            assert accepted <= set(lean)
+            searches += len(seen) - len(trials) + 1
+            skipped += len(trials) - len(lean)
         assert searches > 3 * len(cases)
+        assert skipped > searches  # the line models skip trials
 
     def test_given_fx_spares_the_start_evaluation(self):
         for p, x0, J in random_descent_cases(24, count=3):
