@@ -10,10 +10,18 @@ compares each front's digest with ``bench/digests.json``.  A timed
 ``bench/run.py`` run covers only the rounds that fit in its time; this
 covers them all.  Nothing in the checkout is written.  Exits 1 when a
 digest differs, is missing or a front fails its checks, else 0.
+
+The committed digests round values to 12 digits.  So the script also
+prints one ``bytes <workload> <sha256>`` line per workload over the exact
+bytes of its fronts: each final archive's supports, ``x`` and ``fvals`` for
+the library workloads, and every output file (temporary root replaced) for
+``reproduce``.  Two checkouts that print the same lines compute the same
+fronts bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -29,18 +37,49 @@ run.pin_environment()
 import workloads  # noqa: E402
 
 
+def hash_archive(h, archive):
+    """Feed every entry's support, ``x`` and ``fvals`` bytes to ``h``."""
+    h.update(b"archive %d\n" % len(archive))
+    for e in archive.entries():
+        h.update(repr(e.J.indices).encode())
+        h.update(e.x.tobytes())
+        h.update(e.fvals.tobytes())
+
+
+def hash_files(h, root: Path, tmp: str):
+    """Feed every file under ``root`` to ``h``, by relative path, with ``tmp``
+    replaced by a fixed marker."""
+    for f in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = f.read_bytes().replace(tmp.encode(), b"<tmp>")
+        h.update(b"%s %d\n" % (str(f.relative_to(root)).encode(), len(data)))
+        h.update(data)
+
+
 def main() -> int:
     committed = workloads.load_digests()
-    failures, checked = [], 0
+    names = ("quad_front", "enum_init", "logit_front", "reproduce")
+    failures, checked, hashers = [], 0, []
+    sfsd_run = workloads.sfsd.sfsd_run
+
+    def hashed_run(*args, **kwargs):
+        archive = sfsd_run(*args, **kwargs)
+        hash_archive(hashers[-1], archive)
+        return archive
+
+    # run_front's call; cli imported its own name, which reproduce keeps using
+    workloads.sfsd.sfsd_run = hashed_run
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("quad_front", "enum_init", "logit_front", "reproduce"):
+        for name in names:
             t0 = perf_counter()
             wl = workloads.Workload(name, workloads.DEFAULT_SEED, False, ROOT, Path(tmp))
             expected = committed.get(name, {})
             seen = set()
+            hashers.append(hashlib.sha256())
             for rnd in wl.rounds:
                 for task in rnd:
                     outcomes, _ = wl.run(task)
+                    if name == "reproduce":
+                        hash_files(hashers[-1], task.out_dir, tmp)
                     for out in outcomes:
                         seen.add(out.key)
                         want = expected.get(out.key)
@@ -52,6 +91,8 @@ def main() -> int:
                          for key in sorted(set(expected) - seen)]
             checked += len(seen)
             print(f"{name}: {len(seen)} fronts in {perf_counter() - t0:.1f} s")
+    for name, h in zip(names, hashers):
+        print(f"bytes {name} {h.hexdigest()}")
     for line in failures:
         print(f"FAILED {line}")
     print(f"{checked} fronts checked, {len(failures)} failures")

@@ -41,7 +41,7 @@ from .problems import (
     save_instance,
     write_json,
 )
-from .sfsd import STRATEGIES, initialize, sfsd_run, solve_starts
+from .sfsd import SEED_INDEPENDENT, STRATEGIES, initialize, sfsd_run, solve_starts
 from .solvers import default_config, mosd
 
 EXIT_OK = 0
@@ -479,18 +479,23 @@ def cmd_reproduce(args) -> int:
             save_instance(path, entry)
             loaded[i] = load_instance(path)
 
-    # Runs go serially in manifest order: instance, strategy, run seed.
+    # Runs go serially in manifest order: instance, strategy, run seed.  A
+    # seed-independent strategy runs for the first run seed only; its front,
+    # or its lack of one, stands for every run seed.
     by_instance: dict = {}
     for ii, (path, (problem, info)) in enumerate(zip(inst_files, loaded)):
         cfg = default_config(problem, info["family"], max_iter=manifest["solver_budget"])
         for si, strategy in enumerate(strategies):
-            for run_seed in run_seeds:
-                seed = np.random.SeedSequence(
-                    (manifest["seed"], ii, si, run_seed)).generate_state(1)[0]
-                try:
-                    _, rows = _run_front(problem, info, strategy, manifest["n_starts"],
-                                         int(seed), cfg, manifest["sfsd_budget"])
-                except EmptyResultError:
+            for r, run_seed in enumerate(run_seeds):
+                if r == 0 or strategy not in SEED_INDEPENDENT:
+                    seed = np.random.SeedSequence(
+                        (manifest["seed"], ii, si, run_seed)).generate_state(1)[0]
+                    try:
+                        _, rows = _run_front(problem, info, strategy, manifest["n_starts"],
+                                             int(seed), cfg, manifest["sfsd_budget"])
+                    except EmptyResultError:
+                        rows = None
+                if rows is None:
                     continue
                 front_csv = out_dir / "fronts" / path.stem / f"{strategy}_seed{run_seed}.csv"
                 write_front_csv(front_csv, rows, problem.n, problem.m)

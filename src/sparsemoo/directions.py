@@ -10,15 +10,18 @@ convex min-max direction subproblems:
 * ``theta_L`` — proximal subproblem with curvature ``L`` over directions
   that keep ``x + d`` feasible; zero value is the L-stationarity test.
 
-The last two minimize an on-support value over size-s supports.  One kernel
-(:func:`_best_support`) finds the lexicographically first minimizer.  Past
-:func:`_screen_min` candidates a Lagrangian bound first tries to prove one
-candidate the unique minimizer with one simplex-QP solve
-(:func:`_certify`).  When it cannot, the same bound (:func:`_screen`) fixes
-coordinates in or out of every minimizer, and only the supports that
+The last two minimize an on-support value over size-s supports.  With one
+objective the value separates by coordinate, and ``theta_L`` first tries
+hard thresholding (:func:`_hard_threshold`): the top s of a per-coordinate
+score, proven the unique minimizer by the gap to the next one.  Otherwise
+one kernel (:func:`_best_support`) finds the lexicographically first
+minimizer.  Past :func:`_screen_min` candidates a Lagrangian bound first
+tries to prove one candidate the unique minimizer with one simplex-QP
+solve (:func:`_certify`).  When it cannot, the same bound (:func:`_screen`)
+fixes coordinates in or out of every minimizer, and only the supports that
 respect those fixings are scored (at most ``MAX_SUPPORTS``), in the same
-order and by the same arithmetic.  Either way the result is bit-identical
-to scoring every support.
+order and by the same arithmetic.  In every case the result is
+bit-identical to scoring every support.
 """
 
 from __future__ import annotations
@@ -206,6 +209,39 @@ def _screen(grads, x, L, fixed, free, k):
     return fixed, free[keep_free], k - int(keep_in.sum())
 
 
+def _hard_threshold(grads, x, L, s):
+    """The support of one objective's hard-thresholding step, when it is
+    provably the search's answer, else None.
+
+    With one objective the subproblem separates by coordinate, so
+    ``theta(K) = S - sum_{i in K} r_i`` holds exactly (see :func:`_screen`,
+    lam = 1) and the top s of r form a minimizer: the support of
+    ``x - g/L`` hard-thresholded to s entries (Beck & Eldar).  When the s-th
+    largest r exceeds the (s+1)-th by more than :func:`_certify`'s rounding
+    margin, every other support is worse by that gap in exact arithmetic,
+    more than the rounding of any two :func:`_scores` values; so the top s
+    is also the unique float argmin that scoring every support returns
+    (each score's rounding is a few ulps per coordinate of the magnitudes
+    in the margin, far below 1e-9 of them for any n a search can reach).
+    Returns ``(support, None)`` as :func:`_best_support` does.  With
+    m >= 2 or on a near tie it declines; a non-finite gradient makes the
+    margin non-finite, and the comparison declines too.  Needs ``s < n``,
+    which :func:`theta_L` has checked.
+    """
+    n = x.size
+    if grads.shape[0] != 1:
+        return None
+    g = grads[0]
+    r = 0.5 * L * (x - g / L) ** 2
+    order = np.argsort(-r)
+    theta = 0.5 * L * x.dot(x) - g.dot(x) - r[order[:s]].sum()
+    A = np.abs(g)
+    tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(theta))
+    if not r[order[s - 1]] - r[order[s]] > tol:
+        return None
+    return SupportSet(tuple(np.sort(order[:s]).tolist()), n), None
+
+
 def _pinned_qp(grads, x, L, cols):
     """The move pinned to ``-x`` off ``cols`` (zero on it) and the simplex-QP
     solution on ``cols``: the final solve of :func:`theta_L`."""
@@ -366,12 +402,17 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     Lagrangian bound first tries to certify one support optimal, and when
     it cannot, rules coordinates in or out and scores only the supports
     that can still attain the minimum.  A certified support's QP solve is
-    the final solve, the same call on the same arrays.
+    the final solve, the same call on the same arrays.  With one objective
+    (the scalarized baseline) the search is first settled by hard
+    thresholding ``x - g/L``, whenever the s-th and (s+1)-th largest
+    ``(L/2)(x_i - g_i/L)^2`` are further apart than the rounding margin;
+    the final solve is again the same call.
     """
     x, s = check_point(x, s, p.n)
     check_number("L", L, 0, open_low=True)
     grads = np.asarray(p.gradient(x), dtype=float)
-    best_K, solved = _best_support(grads, x, L, s, np.array([], dtype=np.intp))
+    best_K, solved = (_hard_threshold(grads, x, L, s)
+                      or _best_support(grads, x, L, s, np.array([], dtype=np.intp)))
     cols = best_K.as_array()
     d_full, sol = solved or _pinned_qp(grads, x, L, cols)
     d_full[cols] = sol.d

@@ -53,6 +53,9 @@ FINAL_EPS = 1e-4
 
 # Phase-one strategies, in the order the CLI lists them.
 STRATEGIES = ("moiht", "mospd", "mohyb", "scalarized")
+# The strategies whose phase one ignores ``seed``, ``n_starts`` and ``box``:
+# their fronts are the same for every seed.
+SEED_INDEPENDENT = ("scalarized",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,14 +243,15 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
 
     ``strategy='scalarized'`` instead runs the deterministic trade-off grid
     of ``2n`` weights from the zero start; ``n_starts``/``seed``/``box``
-    are ignored for it and its counts are ``None``.
+    are ignored for it (it is in :data:`SEED_INDEPENDENT`) and its counts
+    are ``None``.
 
     With ``deadline`` (a ``time.monotonic()`` stamp) no new start is
     processed past the deadline; results are otherwise deterministic.
     """
     s = check_budget(s, p.n)
     check_number("n_starts", n_starts, 1, integer=True)
-    if strategy == "scalarized":
+    if strategy in SEED_INDEPENDENT:
         points = scalarized_iht(p, s, default_lambda_grid(p.n), np.zeros(p.n), cfg)
         return points, [None] * len(points)
     if strategy not in STRATEGIES:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,56 @@ class TestReproduce:
                    "--solver-budget", solver_budget, "--out", out) == 0
         expected = tmp_path / "out" / "fronts" / stem / f"{strategies[si]}_seed{run_seeds[ri]}.csv"
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_seed_independent_front_runs_once(self, tmp_path, monkeypatch):
+        seed, n_starts, budget, solver_budget = 2, 3, 3, 2000
+        strategies, run_seeds = ["moiht", "scalarized"], [0, 1, 2]
+        manifest = tmp_path / "manifest.json"
+        out_dir = tmp_path / "out"
+        manifest.write_text(json.dumps({
+            "seed": seed,
+            "out_dir": str(out_dir),
+            "instances": [{"type": "example4", "s": 1}, {"n": 6, "kappa": 10.0, "s": 3, "seed": 1}],
+            "strategies": strategies,
+            "run_seeds": run_seeds,
+            "n_starts": n_starts,
+            "sfsd_budget": budget,
+            "solver_budget": solver_budget,
+        }))
+        calls = []
+        initialize = cli.initialize
+
+        def counting(p, s, strategy, *args, **kwargs):
+            calls.append((p.n, strategy))
+            return initialize(p, s, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "initialize", counting)
+        assert run("reproduce", manifest) == 0
+        assert sorted(calls) == [(2, "moiht")] * 3 + [(2, "scalarized")] \
+            + [(6, "moiht")] * 3 + [(6, "scalarized")]
+
+        def outputs():
+            return {str(f.relative_to(out_dir)): f.read_bytes()
+                    for f in sorted(out_dir.rglob("*")) if f.is_file()}
+
+        reused = outputs()
+        stem = "quad_n6_k10_s3_seed1"
+        csvs = {reused[f"fronts/{stem}/scalarized_seed{r}.csv"] for r in run_seeds}
+        assert len(csvs) == 1
+        run_seed = np.random.SeedSequence((seed, 1, 1, run_seeds[2])).generate_state(1)[0]
+        out = tmp_path / "front.csv"
+        assert run("front", "--instance", out_dir / "instances" / f"{stem}.json",
+                   "--strategy", "scalarized", "--seed", int(run_seed), "--n-starts", n_starts,
+                   "--budget", budget, "--solver-budget", solver_budget, "--out", out) == 0
+        assert csvs == {out.read_bytes()}
+
+        # every file is the one separate runs per seed write
+        shutil.rmtree(out_dir)
+        calls.clear()
+        monkeypatch.setattr(cli, "SEED_INDEPENDENT", ())
+        assert run("reproduce", manifest) == 0
+        assert len(calls) == 12
+        assert outputs() == reused
 
     @pytest.mark.parametrize("manifest, field", [
         ({}, "instances"),

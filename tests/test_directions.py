@@ -372,11 +372,12 @@ def conditioned_problem(n, m, kappa, seed):
     )
 
 
-def near_tie_problem(m):
+def near_tie_problem(m, gap=1e-14):
     """``f_j(x) = 0.5 ||x - a / j||^2``, j = 1..m, n = 8: at the origin r ranks
     the coordinates by |a| at every weight, and the 3rd and 4th largest |a|
-    are 1e-14 apart relative to each other, far below the bound's margin."""
-    a = np.array([3.0, 0.5, 1.0, -2.0, 0.25, -1.0 - 1e-14, 0.75, 0.1])
+    are ``gap`` apart relative to each other, by default far below the
+    bound's margin."""
+    a = np.array([3.0, 0.5, 1.0, -2.0, 0.25, -1.0 - gap, 0.75, 0.1])
     return MultiObjectiveProblem(
         n=8, m=m,
         evaluate=lambda x: np.array([0.5 * (x - a / j) @ (x - a / j) for j in range(1, m + 1)]),
@@ -428,7 +429,9 @@ class TestScreenedSearch:
 
         default = [self.results(p, s) for p, s in self.cases()]
         monkeypatch.setattr(directions, "_screen_min", lambda m: 10**18)
+        monkeypatch.setattr(directions, "_hard_threshold", lambda *args: None)
         full = [self.results(p, s) for p, s in self.cases()]
+        monkeypatch.undo()
         monkeypatch.setattr(directions, "_screen_min", lambda m: 0)
         screened = [self.results(p, s) for p, s in self.cases()]
         assert screened == full
@@ -449,6 +452,19 @@ class TestScreenedSearch:
 
         monkeypatch.setattr(directions, "_screen", counting)
         return screens
+
+    def count_fallbacks(self, monkeypatch):
+        import sparsemoo.directions as directions
+
+        fallbacks = []
+        real = directions._best_support
+
+        def counting(grads, *args):
+            fallbacks.append(grads.shape[0])
+            return real(grads, *args)
+
+        monkeypatch.setattr(directions, "_best_support", counting)
+        return fallbacks
 
     def screen_calls(self):
         x = project_sparse(np.random.default_rng(3).normal(size=10), 3)
@@ -483,6 +499,60 @@ class TestScreenedSearch:
             theta_L(p, np.zeros(8), 3, 1.1)
             theta_feasible(p, np.zeros(8), 3)
         assert screens == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("gap, settled", [(0.0, False), (1e-14, False), (1e-6, True)])
+    def test_one_objective_certificate_declines_near_ties(self, monkeypatch, gap, settled):
+        # r = a^2 / 2 at the origin: its 3rd and 4th largest values are an
+        # exact tie, a tie within the rounding margin, or apart by 1e-6
+        import sparsemoo.directions as directions
+
+        p = near_tie_problem(1, gap)
+        fallbacks = self.count_fallbacks(monkeypatch)
+        sol = theta_L(p, np.zeros(8), 3, 1.1)
+        assert len(fallbacks) == (0 if settled else 1)
+        assert sol.support.indices == ((0, 3, 5) if gap else (0, 2, 3))
+        monkeypatch.setattr(directions, "_hard_threshold", lambda *args: None)
+        full = theta_L(p, np.zeros(8), 3, 1.1)
+        assert (sol.support, sol.theta, sol.d.tobytes(), sol.lam.tobytes()) == \
+            (full.support, full.theta, full.d.tobytes(), full.lam.tobytes())
+
+    def test_all_ties_reach_the_fallback(self, monkeypatch):
+        # every r ties: the enumeration's lexicographic rule picks (0, 1, 2)
+        p = MultiObjectiveProblem(n=8, m=1, evaluate=lambda x: np.array([float(np.sum(x))]),
+                                  gradient=lambda x: np.ones((1, 8)), lipschitz=np.ones(1))
+        fallbacks = self.count_fallbacks(monkeypatch)
+        assert theta_L(p, np.zeros(8), 3, 2.0).support.indices == (0, 1, 2)
+        assert fallbacks == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_objective_non_finite_gradient_rejected(self, monkeypatch, bad):
+        g = np.linspace(1.0, 2.0, 8)[None, :]
+        g[0, 5] = bad
+        p = MultiObjectiveProblem(n=8, m=1, evaluate=lambda x: np.zeros(1),
+                                  gradient=lambda x: g.copy(), lipschitz=np.ones(1))
+        fallbacks = self.count_fallbacks(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite inputs"):
+            theta_L(p, np.zeros(8), 3, 1.1)
+        assert fallbacks == [1]
+
+    @pytest.mark.parametrize("n, s", [(20, 5), (10, 5)])
+    def test_hard_threshold_settles_scalarized_searches(self, monkeypatch, n, s):
+        # every search of the scalarized baseline has one objective
+        import sparsemoo.solvers as solvers
+
+        p = generate_quadratic(n, 10.0, 0).problem()
+        fallbacks = self.count_fallbacks(monkeypatch)
+        calls = []
+        real = solvers.theta_L
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "theta_L", counting)
+        solve_starts(p, s, "scalarized", 1, 0, (-2.0, 2.0), default_config(p))
+        assert len(calls) > 100
+        assert len(fallbacks) <= 0.01 * len(calls)
 
     def test_ill_conditioned_certificate(self):
         # kappa = 1000 puts |H| near 7e6; the dual weights must still meet a
@@ -585,7 +655,9 @@ def test_certified_matches_full_enumeration(search):
     # a function-scoped monkeypatch fixture would outlive the examples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(directions, "_screen_min", lambda m: 10**18)
+        mp.setattr(directions, "_hard_threshold", lambda *args: None)
         full = results()
+        mp.undo()
         mp.setattr(directions, "_screen_min", lambda m: 0)  # certificate on every search
         assert results() == full
 
