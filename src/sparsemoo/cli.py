@@ -41,8 +41,9 @@ from .problems import (
     save_instance,
     write_json,
 )
-from .sfsd import SEED_INDEPENDENT, STRATEGIES, initialize, sfsd_run, solve_starts
-from .solvers import default_config, mosd
+from .sfsd import (EXPLORE_SPACING, SEED_INDEPENDENT, STRATEGIES, initialize, sfsd_run,
+                   solve_starts)
+from .solvers import SolverConfig, default_config, mosd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,6 +68,15 @@ METRICS = (
 
 class EmptyResultError(RuntimeError):
     """A pipeline stage produced no usable rows."""
+
+
+def _check_unique(values, clash):
+    """Raise DataError ``clash(i, j)`` for the first ``values[j]`` equal to a ``values[i]``."""
+    seen: dict = {}
+    for j, value in enumerate(values):
+        if value in seen:
+            raise DataError(clash(seen[value], j))
+        seen[value] = j
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,7 +279,7 @@ def cmd_solve(args) -> int:
         sup = support(x)
         # refine on the point's own support, zeros stay fixed
         if sup.size and (deadline_refine is None or time.monotonic() <= deadline_refine):
-            x = mosd(problem, x, SupportSet.from_iterable(sup, problem.n), cfg.eps, cfg)
+            x = mosd(problem, x, sup, cfg.eps, cfg)
         if not np.all(np.isfinite(x)):
             continue
         fv = np.asarray(problem.evaluate(x), dtype=float)
@@ -293,14 +303,16 @@ def cmd_front(args) -> int:
 
 
 def _parse_named_fronts(items):
-    named = []
+    """``[(name, F)]`` for ``NAME=PATH`` items; a name keys one metrics row."""
+    pairs = []
     for item in items:
         if "=" not in item:
             raise ValueError(f"expected NAME=PATH, got {item!r}")
-        name, path = item.split("=", 1)
-        F, _, _ = read_front_csv(path)
-        named.append((name, F))
-    return named
+        pairs.append(item.split("=", 1))
+    _check_unique([name for name, _ in pairs], lambda i, j: (
+        f"--front {pairs[i][1]} and {pairs[j][1]} are both named {pairs[i][0]!r}; "
+        "front names must be unique"))
+    return [(name, read_front_csv(path)[0]) for name, path in pairs]
 
 
 def _write_metrics_table(path, named, reference, spread=None):
@@ -332,6 +344,10 @@ def cmd_metrics(args) -> int:
         reference = build_reference_front([reference])
     if reference.shape[0] == 0:
         raise EmptyResultError("reference front is empty")
+    for name, F in named:  # a combined reference has the fronts' count already
+        if F.size and F.shape[1] != reference.shape[1]:
+            raise DataError(f"{args.reference}: the reference front has {reference.shape[1]} "
+                            f"objectives, front {name!r} has {F.shape[1]}")
 
     spread = None
     if args.logistic_scaling:
@@ -364,6 +380,9 @@ def _read_metrics_csv(path):
             rows.append((row[solver], [float(row[j]) for j in metrics]))
         except ValueError as exc:
             raise DataError(f"{path}:{line}: {exc}") from None
+    _check_unique([solver for solver, _ in rows], lambda i, j: (
+        f"{path}:{table[j][0]}: solver {rows[j][0]!r} repeats line {table[i][0]}; "
+        "solver names must be unique"))
     return rows
 
 
@@ -400,7 +419,11 @@ def _write_profiles(tables, out_dir):
 def cmd_profiles(args) -> int:
     if not args.metrics_csv:
         raise ValueError("at least one --metrics-csv is required")
-    _write_profiles({Path(path).stem: _read_metrics_csv(path) for path in args.metrics_csv},
+    paths, stems = args.metrics_csv, [Path(path).stem for path in args.metrics_csv]
+    _check_unique(stems, lambda i, j: (  # a table's problem is its file's stem
+        f"--metrics-csv {paths[i]} and {paths[j]} are both problem {stems[i]!r}; "
+        "file stems must be unique"))
+    _write_profiles({stem: _read_metrics_csv(path) for stem, path in zip(stems, paths)},
                     args.out_dir)
     print(f"wrote profiles for {len(METRICS)} metrics to {args.out_dir}")
     return EXIT_OK
@@ -411,17 +434,20 @@ def cmd_profiles(args) -> int:
 
 
 def _load_manifest(path):
-    """The manifest JSON, with its defaults filled in, every value checked,
-    every instance name (the file stem each output is keyed by) unique and
-    every instance ``path`` naming a file."""
+    """The manifest JSON with its defaults filled in, and its instance files;
+    every value is checked, instance names (file stems), strategies and run
+    seeds, which key the outputs, are unique and every ``path`` names a file."""
     manifest = read_json(path)
     source = f"{path}: manifest"
     if not isinstance(manifest, dict):
         raise DataError(f"{source} must be a JSON object")
+    out_dir = manifest.setdefault("out_dir", str(path.parent / "reproduce_out"))
+    if not isinstance(out_dir, str):
+        raise DataError(f"{source} 'out_dir' must be a string, got {out_dir!r}")
     instances = manifest.get("instances")
     if not isinstance(instances, list) or not instances:
         raise DataError(f"{source} 'instances' must be a non-empty list")
-    stems, files = {}, {}
+    files = []
     for i, entry in enumerate(instances):
         if not isinstance(entry, dict):
             raise DataError(f"{source} 'instances[{i}]' must be an object")
@@ -429,19 +455,17 @@ def _load_manifest(path):
             if not isinstance(entry["path"], str):
                 raise DataError(
                     f"{source} 'instances[{i}].path' must be a string, got {entry['path']!r}")
-            files[i] = (path.parent / entry["path"]).resolve()
-            stem = files[i].stem
+            files.append((path.parent / entry["path"]).resolve())
         else:
             if entry.get("type") != "example4":
                 entry.setdefault("seed", 0)
             check_instance_entry(entry, source, f"instances[{i}].")
-            stem = Path(instance_name(entry)).stem
-        if stem in stems:
-            raise DataError(f"{source} 'instances[{stems[stem]}]' and 'instances[{i}]' are both "
-                            f"named {stem!r}; instance names must be unique")
-        stems[stem] = i
-    for i, file in files.items():
-        if not file.is_file():
+            files.append(Path(out_dir) / "instances" / instance_name(entry))
+    _check_unique([file.stem for file in files], lambda i, j: (
+        f"{source} 'instances[{i}]' and 'instances[{j}]' are both named "
+        f"{files[i].stem!r}; instance names must be unique"))
+    for i, file in enumerate(files):
+        if "path" in instances[i] and not file.is_file():
             raise DataError(f"{source} 'instances[{i}].path' names no file: {file}")
     strategies = manifest.setdefault("strategies", ["mohyb"])
     if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
@@ -451,26 +475,25 @@ def _load_manifest(path):
         raise DataError(f"{source} 'run_seeds' must be a list of integers")
     for r, run_seed in enumerate(run_seeds):
         check_number(f"{source} 'run_seeds[{r}]'", run_seed, 0, integer=True)
-    for key, default, minimum in (("seed", 0, 0), ("n_starts", 10, 1),
-                                  ("sfsd_budget", 10, 1), ("solver_budget", 10_000, 1)):
+    for key, values in (("strategies", strategies), ("run_seeds", run_seeds)):
+        _check_unique(values, lambda i, j: (
+            f"{source} '{key}[{i}]' and '{key}[{j}]' are both {values[i]!r}; "
+            "each run's CSV is keyed by strategy and run seed"))
+    for key, default, minimum in (("seed", 0, 0), ("n_starts", 10, 1), ("sfsd_budget", 10, 1),
+                                  ("solver_budget", SolverConfig.max_iter, 1)):
         check_number(f"{source} '{key}'", manifest.setdefault(key, default), minimum, integer=True)
-    out_dir = manifest.setdefault("out_dir", str(path.parent / "reproduce_out"))
-    if not isinstance(out_dir, str):
-        raise DataError(f"{source} 'out_dir' must be a string, got {out_dir!r}")
-    return manifest
+    return manifest, files
 
 
 def cmd_reproduce(args) -> int:
     manifest_path = Path(args.manifest)
-    manifest = _load_manifest(manifest_path)
+    manifest, inst_files = _load_manifest(manifest_path)
     out_dir = Path(manifest["out_dir"])
     strategies, run_seeds = manifest["strategies"], manifest["run_seeds"]
 
     # Every instance file named by the manifest is loaded, and so checked,
     # before anything is written; then the generated ones are saved.
     entries = manifest["instances"]
-    inst_files = [(manifest_path.parent / entry["path"]).resolve() if "path" in entry
-                  else out_dir / "instances" / instance_name(entry) for entry in entries]
     loaded = [load_instance(path) if "path" in entry else None
               for entry, path in zip(entries, inst_files)]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -551,11 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--s", type=int, default=None,
                         help="cardinality bound (datasets only; instances carry s)")
         sp.add_argument("--seed", type=int, default=0, help="random seed")
-        sp.add_argument("--eps", type=float, default=None,
-                        help="stationarity tolerance (default 1e-7)")
-        sp.add_argument("--solver-budget", type=int, default=None,
-                        help="single-point solver iteration budget (default 10000)")
-        sp.add_argument("--tau0", type=float, default=None,
+        sp.add_argument("--eps", type=float, default=SolverConfig.eps,
+                        help="stationarity tolerance")
+        sp.add_argument("--solver-budget", type=int, default=SolverConfig.max_iter,
+                        help="single-point solver iteration budget")
+        sp.add_argument("--tau0", type=float, default=SolverConfig.tau0,
                         help="initial penalty weight for mospd/mohyb")
         sp.add_argument("--wallclock", type=float, default=None,
                         help="wall-clock limit in seconds, split across phases "
@@ -587,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     front = sub.add_parser("front", help="two-phase front approximation")
     add_common_problem_flags(front)
     front.add_argument("--budget", type=int, default=20, help="front descent sweeps")
-    front.add_argument("--explore-spacing", type=float, default=5e-3,
+    front.add_argument("--explore-spacing", type=float, default=EXPLORE_SPACING,
                        help="relative objective-space spacing floor for "
                             "exploration insertions (0 = literal rule)")
     front.set_defaults(func=cmd_front)

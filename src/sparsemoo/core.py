@@ -23,6 +23,10 @@ ZERO_TOL = 1e-12
 # Cap on enumerated supports or super support sets; beyond it CapacityError.
 MAX_SUPPORTS = 2_000_000
 
+# Default stationarity tolerance: a measure above -STATIONARITY_EPS counts
+# as stationary (SolverConfig.eps and the is_*_stationary tests).
+STATIONARITY_EPS = 1e-7
+
 # u = 2^-53, the relative rounding error of one float64 operation.  Each
 # line model (MultiObjectiveProblem.line) derives a bound on its rounding in
 # units of u and returns LINE_SAFETY times it: the derivations take libm's
@@ -142,6 +146,15 @@ class SupportSet:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def as_support(J, n: int) -> SupportSet:
+    """``J`` (a :class:`SupportSet` over n, or indices) as a SupportSet over n."""
+    if isinstance(J, SupportSet):
+        if J.n != n:
+            raise ValueError(f"support set over dimension {J.n}, expected {n}")
+        return J
+    return SupportSet.from_iterable(J, n)
 
 
 @dataclass(frozen=True)

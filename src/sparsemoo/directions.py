@@ -20,8 +20,9 @@ tries to prove one candidate the unique minimizer with one simplex-QP
 solve (:func:`_certify`).  When it cannot, the same bound (:func:`_screen`)
 fixes coordinates in or out of every minimizer, and only the supports that
 respect those fixings are scored (at most ``MAX_SUPPORTS``), in the same
-order and by the same arithmetic.  In every case the result is
-bit-identical to scoring every support.
+order and by the same arithmetic.  The three proofs (hard thresholding,
+certificate, screen) clear one rounding margin, :func:`_margin`.  In every
+case the result is bit-identical to scoring every support.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ import numpy as np
 
 from .core import (
     MAX_SUPPORTS,
+    STATIONARITY_EPS,
     CapacityError,
     SupportSet,
+    as_support,
     check_number,
     check_point,
     is_feasible,
@@ -168,6 +171,14 @@ def _with_fixed(fixed, rows) -> np.ndarray:
         [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1))
 
 
+def _margin(grads, x, L, value) -> float:
+    """The rounding margin a bound must clear above ``value`` to decide:
+    ``1e-9 (sum_i (A_i |x_i| + L x_i^2 + A_i^2 / L) + |value|)`` with
+    ``A_i = max_j |grad_ji|``, relative to what enters bounds and values."""
+    A = np.abs(grads).max(axis=0)
+    return 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(value))
+
+
 def _screen(grads, x, L, fixed, free, k):
     """Shrink the search for size-k subsets E of ``free`` (rows ``fixed ∪ E``).
 
@@ -179,7 +190,7 @@ def _screen(grads, x, L, fixed, free, k):
     coordinate i (``S - r_i - top_{k-1}(r without i)``) and every one that
     leaves it out (``S - top_k(r without i)``).  The incumbent U is the best
     :func:`_scores` value over the top-k sets of the lattice.  A coordinate
-    whose "in" bound exceeds U plus a rounding margin is in no minimizer and
+    whose "in" bound exceeds U plus :func:`_margin` is in no minimizer and
     is dropped; one whose "out" bound does is in every minimizer and joins
     ``fixed``.  Returns the new ``(fixed, free, k)``.
     """
@@ -200,9 +211,7 @@ def _screen(grads, x, L, fixed, free, k):
     top = _with_fixed(fixed, np.sort(free[E], axis=1))
     top = np.array(sorted(set(map(tuple, top.tolist()))), dtype=np.intp)
     U = float(np.min(_scores(grads, x, L, top)))
-    A = np.abs(grads).max(axis=0)
-    # relative rounding margin, on the magnitudes that enter bound and values
-    tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(U))
+    tol = _margin(grads, x, L, U)
     keep_in = lb_out > U + tol
     keep_free = ~keep_in & ~(lb_in > U + tol)
     fixed = np.sort(np.concatenate([fixed, free[keep_in]]))
@@ -217,9 +226,9 @@ def _hard_threshold(grads, x, L, s):
     ``theta(K) = S - sum_{i in K} r_i`` holds exactly (see :func:`_screen`,
     lam = 1) and the top s of r form a minimizer: the support of
     ``x - g/L`` hard-thresholded to s entries (Beck & Eldar).  When the s-th
-    largest r exceeds the (s+1)-th by more than :func:`_certify`'s rounding
-    margin, every other support is worse by that gap in exact arithmetic,
-    more than the rounding of any two :func:`_scores` values; so the top s
+    largest r exceeds the (s+1)-th by more than :func:`_margin`, every other
+    support is worse by that gap in exact arithmetic, more than the
+    rounding of any two :func:`_scores` values; so the top s
     is also the unique float argmin that scoring every support returns
     (each score's rounding is a few ulps per coordinate of the magnitudes
     in the margin, far below 1e-9 of them for any n a search can reach).
@@ -235,9 +244,7 @@ def _hard_threshold(grads, x, L, s):
     r = 0.5 * L * (x - g / L) ** 2
     order = np.argsort(-r)
     theta = 0.5 * L * x.dot(x) - g.dot(x) - r[order[:s]].sum()
-    A = np.abs(g)
-    tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(theta))
-    if not r[order[s - 1]] - r[order[s]] > tol:
+    if not r[order[s - 1]] - r[order[s]] > _margin(grads, x, L, theta):
         return None
     return SupportSet(tuple(np.sort(order[:s]).tolist()), n), None
 
@@ -270,9 +277,9 @@ def _certify(grads, x, L, fixed, free, k):
 
     The candidate E is the top k of r at uniform weights; its pinned solve
     gives the value U and weights lam.  If E is again the top k at lam and
-    :func:`_top_k`'s bound there exceeds U by :func:`_screen`'s rounding
-    margin, every other support is worse.  If another set is the top k at
-    lam, that set is tried once in turn.
+    :func:`_top_k`'s bound there exceeds U by :func:`_margin`, every other
+    support is worse.  If another set is the top k at lam, that set is
+    tried once in turn.
     """
     m = grads.shape[0]
     E = _top_k(grads, x, L, fixed, free, k, np.full(m, 1.0 / m))[0]
@@ -283,9 +290,8 @@ def _certify(grads, x, L, fixed, free, k):
         if not np.array_equal(top, E):
             E = top
             continue
-        A = np.abs(grads).max(axis=0)
-        tol = 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(sol.theta))
-        return (SupportSet(tuple(K.tolist()), x.size), (d, sol)) if bound > sol.theta + tol else None
+        proven = bound > sol.theta + _margin(grads, x, L, sol.theta)
+        return (SupportSet(tuple(K.tolist()), x.size), (d, sol)) if proven else None
     return None
 
 
@@ -330,14 +336,6 @@ def _best_support(grads, x, L, s, fixed):
     return SupportSet(tuple(best_K.tolist()), n), None
 
 
-def _as_support(J, n: int) -> SupportSet:
-    if isinstance(J, SupportSet):
-        if J.n != n:
-            raise ValueError(f"support set over dimension {J.n}, expected {n}")
-        return J
-    return SupportSet.from_iterable(J, n)
-
-
 def theta_subspace(p, x, J, I=None) -> DirectionSolution:
     """Steepest common descent value/direction restricted to the set ``J``.
 
@@ -346,7 +344,7 @@ def theta_subspace(p, x, J, I=None) -> DirectionSolution:
     iterable of 0-based objective indices; ``None`` means all objectives.
     """
     x = np.asarray(x, dtype=float)
-    J = _as_support(J, p.n)
+    J = as_support(J, p.n)
     if I is not None:
         I = sorted(set(int(j) for j in I))
         if not I:
@@ -422,13 +420,13 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     return SparseDirectionSolution(d=d_full, support=best_K, theta=theta, lam=sol.lam)
 
 
-def is_L_stationary(p, x, s, L, eps: float = 1e-7) -> bool:
+def is_L_stationary(p, x, s, L, eps: float = STATIONARITY_EPS) -> bool:
     """True iff ``theta_L(p, x, s, L) > -eps``."""
     check_number("eps", eps, 0, open_low=True)
     return theta_L(p, x, s, L).theta > -eps
 
 
-def is_pareto_stationary(p, x, s, eps: float = 1e-7) -> bool:
+def is_pareto_stationary(p, x, s, eps: float = STATIONARITY_EPS) -> bool:
     """True iff ``theta_feasible(p, x, s) > -eps``."""
     check_number("eps", eps, 0, open_low=True)
     return theta_feasible(p, x, s).theta > -eps

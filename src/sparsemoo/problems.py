@@ -26,6 +26,8 @@ import numpy as np
 from .core import LINE_SAFETY, UNIT_ROUNDOFF, DataError, MultiObjectiveProblem, check_number
 
 _MISSING = {"", "?", "na", "nan"}
+# The arrays of a QuadraticInstance, by the names instance JSON gives them.
+_ARRAYS = ("Q1", "Q2", "c1", "c2")
 
 
 def check_instance_entry(entry, source, prefix=""):
@@ -140,7 +142,7 @@ class QuadraticInstance:
     seed: int
 
     def __post_init__(self):
-        for name in ("Q1", "Q2", "c1", "c2"):
+        for name in _ARRAYS:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -452,17 +454,8 @@ def save_instance(path, entry) -> None:
         doc = {"type": "example4", "s": int(entry["s"])}
     else:
         inst = generate_quadratic(entry["n"], entry["kappa"], entry["seed"])
-        doc = {
-            "type": "quadratic",
-            "n": inst.n,
-            "kappa": inst.kappa,
-            "seed": inst.seed,
-            "s": int(entry["s"]),
-            "Q1": inst.Q1.tolist(),
-            "Q2": inst.Q2.tolist(),
-            "c1": inst.c1.tolist(),
-            "c2": inst.c2.tolist(),
-        }
+        doc = {"type": "quadratic", "n": inst.n, "kappa": inst.kappa, "seed": inst.seed,
+               "s": int(entry["s"]), **{name: getattr(inst, name).tolist() for name in _ARRAYS}}
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_json(path, doc, separators=(",", ":"))
 
@@ -478,7 +471,7 @@ def _quadratic_from_doc(path, doc):
     """
     n, s, kappa, seed = doc["n"], doc["s"], float(doc["kappa"]), doc["seed"]
     try:
-        arrays = {name: np.array(doc[name], dtype=float) for name in ("Q1", "Q2", "c1", "c2")}
+        arrays = {name: np.array(doc[name], dtype=float) for name in _ARRAYS}
     except KeyError as exc:
         raise DataError(f"{path}: quadratic instance lacks {exc}") from None
     except (TypeError, ValueError) as exc:

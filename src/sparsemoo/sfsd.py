@@ -50,6 +50,8 @@ THETA_TOL = 1e-10
 DEDUPE_TOL = 1e-10
 # sfsd_run's closing refinement drives every entry to theta_subspace > -FINAL_EPS.
 FINAL_EPS = 1e-4
+# Default relative spacing floor of sfsd_run's exploration (explore_spacing).
+EXPLORE_SPACING = 5e-3
 
 # Phase-one strategies, in the order the CLI lists them.
 STRATEGIES = ("moiht", "mospd", "mohyb", "scalarized")
@@ -252,7 +254,7 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
     s = check_budget(s, p.n)
     check_number("n_starts", n_starts, 1, integer=True)
     if strategy in SEED_INDEPENDENT:
-        points = scalarized_iht(p, s, default_lambda_grid(p.n), np.zeros(p.n), cfg)
+        points = scalarized_iht(p, s, default_lambda_grid(p.n), cfg)
         return points, [None] * len(points)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown initialization strategy {strategy!r}")
@@ -389,7 +391,7 @@ def _spacing_floor(model, scale, spacing: float) -> float:
 
 
 def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
-             cfg: SolverConfig, budget: int, *, explore_spacing: float = 5e-3,
+             cfg: SolverConfig, budget: int, *, explore_spacing: float = EXPLORE_SPACING,
              deadline: float | None = None) -> ParetoArchive:
     """Phase two: front steepest descent over per-support archives.
 

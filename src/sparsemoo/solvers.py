@@ -5,6 +5,8 @@ baseline.
 Every step-size search backtracks over ``alpha0 * delta^h`` for
 ``h = 0..MAX_HALVINGS`` through :func:`backtrack`; only the acceptance test
 and the window of steps a line model leaves open differ between callers.
+The Armijo test (:func:`armijo_step`) asks for sufficient decrease on every
+objective.
 """
 
 from __future__ import annotations
@@ -12,15 +14,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .core import (
     LINE_SAFETY,
+    STATIONARITY_EPS,
     UNIT_ROUNDOFF,
     MultiObjectiveProblem,
     SupportSet,
+    as_support,
     check_number,
     check_point,
     project_sparse,
@@ -66,7 +70,7 @@ class SolverConfig:
     armijo: ClassVar[ArmijoParams] = ArmijoParams(alpha0=1.0, delta=0.5, gamma=1e-4)
 
     L: float
-    eps: float = 1e-7
+    eps: float = STATIONARITY_EPS
     max_iter: int = 10_000
     tau0: float = 1.0
     family: str = "quadratic"
@@ -80,17 +84,14 @@ class SolverConfig:
             raise ValueError(f"unknown problem family {self.family!r}")
 
 
-def default_config(p: MultiObjectiveProblem, family: str = "quadratic", *,
-                   eps: float | None = None, max_iter: int | None = None,
-                   tau0: float | None = None) -> SolverConfig:
+def default_config(p: MultiObjectiveProblem, family: str = "quadratic",
+                   **settings) -> SolverConfig:
     """Config with L = 1.1 * max_j L(f_j) for a problem of ``family``.
 
-    ``eps``, ``max_iter`` and the initial penalty weight ``tau0`` replace
-    their defaults unless ``None``.
+    ``settings`` (``eps``, ``max_iter``, ``tau0``) replace their
+    :class:`SolverConfig` defaults.
     """
-    settings = {"eps": eps, "max_iter": max_iter, "tau0": tau0}
-    return SolverConfig(L=1.1 * float(np.max(p.lipschitz)), family=family,
-                        **{name: v for name, v in settings.items() if v is not None})
+    return SolverConfig(L=1.1 * float(np.max(p.lipschitz)), family=family, **settings)
 
 
 @dataclass
@@ -170,7 +171,7 @@ def backtrack(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, cfg: Solve
     return 0.0, None, None
 
 
-def _armijo_ceiling(model, theta: float, fx, idx, gamma: float) -> float:
+def _armijo_ceiling(model, theta: float, fx, gamma: float) -> float:
     """A step above which the line model proves the Armijo test fails, or ``inf``.
 
     Write ``(s, lo, _, e) = model = p.line(x, d)`` and ``b_j = s_j - gamma theta``.
@@ -183,17 +184,16 @@ def _armijo_ceiling(model, theta: float, fx, idx, gamma: float) -> float:
     ``lo_j >= 0`` that is every step above the positive root.  This needs
     ``fx`` to be the oracle's own ``f(x)``, as the ``ArchiveEntry`` and
     :func:`mosd` contracts guarantee.  Objectives whose bound is not finite
-    are left out, and any one objective in ``idx`` that rejects a step
-    rejects it.
+    are left out, and any one objective that rejects a step rejects it.
     """
     slope, lo, _, err = model
     gt = gamma * theta
     ceiling = math.inf
-    for j in idx:
-        if not lo[j] >= 0.0:
+    for s_j, lo_j, e_j, f_j in zip(slope, lo, err, fx):
+        if not lo_j >= 0.0:
             continue  # the rejected steps need not be a prefix
-        c = err[j] + 2.0 * UNIT_ROUNDOFF * (abs(fx[j]) + abs(slope[j]) + 4.0 * abs(gt))
-        root = positive_root(lo[j], slope[j] - gt, c) * (1.0 + STEP_SLACK)
+        c = e_j + 2.0 * UNIT_ROUNDOFF * (abs(f_j) + abs(s_j) + 4.0 * abs(gt))
+        root = positive_root(lo_j, s_j - gt, c) * (1.0 + STEP_SLACK)
         if root < ceiling:  # never true for NaN
             ceiling = root
     return ceiling
@@ -217,15 +217,15 @@ def positive_root(A: float, B: float, C: float) -> float:
 
 
 def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: float,
-                I: Iterable[int] | None, cfg: SolverConfig, fx: np.ndarray | None = None):
+                cfg: SolverConfig, fx: np.ndarray | None = None):
     """First step ``a = alpha0 * delta^h`` with sufficient decrease on every
-    objective in ``I``: ``f_j(x + a d) <= f_j(x) + gamma * a * theta``.
+    objective: ``f_j(x + a d) <= f_j(x) + gamma * a * theta`` for all j.
 
     ``theta`` must be negative (a descent certificate).  ``fx`` is ``f(x)``
     when the caller already holds it, an ``(m,)`` array; ``None`` evaluates
-    it here.  ``I = None`` means every objective.  Returns ``(a, x + a d,
-    f(x + a d))`` as :func:`backtrack` does, ``(0.0, None, None)`` if no step
-    up to ``h = MAX_HALVINGS`` qualifies.
+    it here.  Returns ``(a, x + a d, f(x + a d))`` as :func:`backtrack`
+    does, ``(0.0, None, None)`` if no step up to ``h = MAX_HALVINGS``
+    qualifies.
 
     With a ``p.line`` model the steps it proves too long
     (:func:`_armijo_ceiling`) are skipped without evaluating them; the
@@ -240,28 +240,26 @@ def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: f
         if fx.shape != (p.m,):
             raise ValueError(f"fx must have shape ({p.m},), got {fx.shape}")
     gamma = cfg.armijo.gamma
-    idx = range(p.m) if I is None else sorted(set(int(j) for j in I))
     window = (0.0, math.inf if p.line is None
-              else _armijo_ceiling(p.line(x, d), theta, fx.tolist(), idx, gamma))
+              else _armijo_ceiling(p.line(x, d), theta, fx.tolist(), gamma))
     # all() over the list of m flags is ndarray.all() without its dispatch
-    if I is None:
-        return backtrack(p, x, d, cfg,
-                         lambda a, fc: all((fc <= fx + gamma * a * theta).tolist()), window)
-    fx = fx[idx]
     return backtrack(p, x, d, cfg,
-                     lambda a, fc: all((fc[idx] <= fx + gamma * a * theta).tolist()), window)
+                     lambda a, fc: all((fc <= fx + gamma * a * theta).tolist()), window)
 
 
 def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
-                  theta: float, I: Iterable[int] | None, cfg: SolverConfig, *,
+                  theta: float, I: None, cfg: SolverConfig, *,
                   fx: np.ndarray | None = None) -> float:
-    """Largest step ``alpha0 * delta^h`` with sufficient decrease on every
-    objective in ``I``: the step of :func:`armijo_step`, same arguments and
-    checks, or 0.0 if none qualifies.  A caller that holds ``f(x)`` passes it
-    as ``fx`` (shape ``(m,)``, else ``ValueError``) and it is not evaluated
-    again.
+    """The step of :func:`armijo_step` (same checks), or 0.0 if none qualifies.
+
+    A caller that holds ``f(x)`` passes it as ``fx`` (shape ``(m,)``, else
+    ``ValueError``) and it is not evaluated again.  ``I`` must be ``None``
+    (every objective; anything else is a ``ValueError``): the slot stays so
+    that ``cfg`` keeps its position, where ``bench/tracing.py`` reads it.
     """
-    return armijo_step(p, x, d, theta, I, cfg, fx)[0]
+    if I is not None:
+        raise ValueError("the Armijo search tests every objective; I must be None")
+    return armijo_step(p, x, d, theta, cfg, fx)[0]
 
 
 def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
@@ -278,7 +276,7 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
     step.  A start it cannot move from comes back as an unchanged copy.
     """
     x0 = np.asarray(x0, dtype=float)
-    J = J if isinstance(J, SupportSet) else SupportSet.from_iterable(J, p.n)
+    J = as_support(J, p.n)
     if not J.contains_support_of(x0):
         raise ValueError("start point has nonzeros outside the fixed support")
     x = x0.copy()
@@ -286,7 +284,7 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
         sol = theta_subspace(p, x, J)
         if sol.theta > -eps:
             break
-        alpha, x_new, f_new = armijo_step(p, x, sol.d, sol.theta, None, cfg, fx)
+        alpha, x_new, f_new = armijo_step(p, x, sol.d, sol.theta, cfg, fx)
         if alpha == 0.0:
             break  # line search stalled; cannot certify further progress
         x, fx = x_new, f_new
@@ -446,17 +444,16 @@ def scalarize(p: MultiObjectiveProblem, lam: float) -> MultiObjectiveProblem:
     return MultiObjectiveProblem(n=p.n, m=1, evaluate=ev, gradient=grad, lipschitz=lip)
 
 
-def scalarized_iht(p: MultiObjectiveProblem, s: int, lambda_grid, x0: np.ndarray,
-                   cfg: SolverConfig) -> list:
+def scalarized_iht(p: MultiObjectiveProblem, s: int, lambda_grid, cfg: SolverConfig) -> list:
     """Single-objective hard thresholding on f_1 + lam f_2 for each lam.
 
-    Each run uses curvature 1.1 * (L(f_1) + lam L(f_2)); returns one point
-    per grid value, in grid order.  ``cfg.L`` is ignored in favor of the
-    per-lambda curvature.
+    Each run starts at the origin with curvature 1.1 * (L(f_1) + lam L(f_2));
+    returns one point per grid value, in grid order.  ``cfg.L`` is ignored
+    in favor of the per-lambda curvature.
     """
     if p.m != 2:
         raise ValueError("scalarized_iht requires a biobjective problem")
-    out = []
+    x0, out = np.zeros(p.n), []
     for lam in np.asarray(lambda_grid, dtype=float):
         sp = scalarize(p, float(lam))
         cfg_lam = replace(cfg, L=1.1 * float(sp.lipschitz[0]))

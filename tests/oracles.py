@@ -412,16 +412,16 @@ def reference_theta_feasible(p, x, s):
     return best_J, sol.theta, sol.d, sol.lam
 
 
-def reference_armijo(p, x, d, theta, I, cfg, fx=None):
-    """The Armijo search as a plain loop over ``alpha0 * delta^h``: returns
-    ``(a, x + a d, f(x + a d))`` or ``(0.0, None, None)``."""
-    idx = list(range(p.m)) if I is None else sorted(set(I))
+def reference_armijo(p, x, d, theta, cfg, fx=None):
+    """The Armijo search over every objective as a plain loop over
+    ``alpha0 * delta^h``: returns ``(a, x + a d, f(x + a d))`` or
+    ``(0.0, None, None)``."""
     fx = np.asarray(p.evaluate(x) if fx is None else fx, dtype=float)
     a = cfg.armijo.alpha0
     for _ in range(MAX_HALVINGS + 1):
         cand = x + a * d
         fc = np.asarray(p.evaluate(cand), dtype=float)
-        if np.all(fc[idx] <= fx[idx] + cfg.armijo.gamma * a * theta):
+        if np.all(fc <= fx + cfg.armijo.gamma * a * theta):
             return a, cand, fc
         a *= cfg.armijo.delta
     return 0.0, None, None
@@ -436,7 +436,7 @@ def reference_assign_super_support(p, x, s, cfg):
         _, theta, d, _ = reference_theta_feasible(p, x, s)
         if theta > -cfg.eps:
             break
-        alpha = reference_armijo(p, x, d, theta, None, cfg)[0]
+        alpha = reference_armijo(p, x, d, theta, cfg)[0]
         if alpha == 0.0:
             break
         x = x + alpha * d

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import shutil
 from pathlib import Path
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsemoo.cli as cli
-from sparsemoo import is_L_stationary, load_instance
+from sparsemoo import SolverConfig, is_L_stationary, load_instance, sfsd_run
 from sparsemoo.cli import main, read_front_csv
 from sparsemoo.problems import read_table
 
@@ -457,13 +459,49 @@ class TestMetricsAndProfiles:
             assert ((tmp_path / "again" / name).read_bytes()
                     == (out / "profiles" / "best" / name).read_bytes())
 
+    def test_repeated_front_name_rejected(self, tmp_path, capsys):
+        fa, fb = tmp_path / "x.csv", tmp_path / "y.csv"
+        self._write_front(fa, [(1.0, 2.0)])
+        self._write_front(fb, [(2.0, 1.0)])
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--front", f"a={fa}", "--front", f"a={fb}", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"--front {fa} and {fb} are both named 'a'" in err
+        assert not out.exists()
+
+    def test_reference_with_other_objective_count_rejected(self, tmp_path, capsys):
+        fa, ref = tmp_path / "a.csv", tmp_path / "ref.csv"
+        self._write_front(fa, [(1.0, 2.0), (2.0, 1.0)])
+        ref.write_text("f1,f2,f3,support,x_1,x_2\n1.0,2.0,3.0,1,0.0,0.0\n")
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--front", f"A={fa}", "--reference", ref, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{ref}: the reference front has 3 objectives, front 'A' has 2" in err
+        assert not out.exists()
+
+    def test_profiles_problem_named_twice_rejected(self, tmp_path, capsys):
+        table = "solver,purity,gamma_spread,delta_spread,hypervolume\nS1,1.0,1.0,0.5,1.0\n"
+        paths = [tmp_path / d / "inst.csv" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(table)
+        out_dir = tmp_path / "p"
+        assert run("profiles", "--metrics-csv", paths[0], "--metrics-csv", paths[1],
+                   "--out-dir", out_dir) == 1
+        err = capsys.readouterr().err
+        assert f"--metrics-csv {paths[0]} and {paths[1]} are both problem 'inst'" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("solver,purity\nx,1.0\n", "lacks column(s) gamma_spread, delta_spread, hypervolume"),
         ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0,abc,0.5,1.0\n", ":2:"),
         ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0\n", ":2:"),
         ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0,1.0,0.5,1.0,9\n",
          ":2: expected 5 cells, got 6"),
-    ], ids=["missing_columns", "non_numeric_cell", "short_row", "extra_cell"])
+        ("solver,purity,gamma_spread,delta_spread,hypervolume\n"
+         "x,1.0,1.0,0.5,1.0\ny,1.0,1.0,0.5,1.0\nx,0.5,1.0,0.5,1.0\n",
+         ":4: solver 'x' repeats line 2"),
+    ], ids=["missing_columns", "non_numeric_cell", "short_row", "extra_cell", "repeated_solver"])
     def test_bad_metrics_csv_rejected(self, tmp_path, capsys, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)
@@ -656,6 +694,10 @@ class TestReproduce:
          "'instances[0]' and 'instances[1]'"),
         ({"instances": [{"type": "example4", "s": 1}, {"path": "example4_s1.json"}]},
          "'instances[0]' and 'instances[1]'"),
+        ({"instances": [{"type": "example4", "s": 1}], "strategies": ["moiht", "mohyb", "moiht"]},
+         "'strategies[0]' and 'strategies[2]' are both 'moiht'"),
+        ({"instances": [{"type": "example4", "s": 1}], "run_seeds": [0, 0]},
+         "'run_seeds[0]' and 'run_seeds[1]' are both 0"),
     ])
     def test_invalid_manifest_rejected(self, tmp_path, capsys, manifest, field):
         out_dir = tmp_path / "out"
@@ -689,6 +731,26 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         assert main(["front", "--help"]) == 0
         assert main(["reproduce", "--help"]) == 0  # one positional, no defaults
+
+    def test_front_help_shows_solver_defaults(self, capsys):
+        assert main(["front", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
+        for flag, shown in (("--eps EPS", "1e-07"), ("--solver-budget SOLVER_BUDGET", "10000"),
+                            ("--tau0 TAU0", "1.0")):
+            entry = out.split(f" {flag} ", 1)[1].split(" --", 1)[0]
+            assert f"(default: {shown})" in entry and "(default: None)" not in entry
+
+    def test_parser_defaults_are_the_library_defaults(self, tmp_path):
+        args = cli.build_parser().parse_args(["front", "--out", "f.csv"])
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        assert args.eps == defaults["eps"] == 1e-7
+        assert args.solver_budget == defaults["max_iter"] == 10_000
+        assert args.tau0 == defaults["tau0"] == 1.0
+        spacing = inspect.signature(sfsd_run).parameters["explore_spacing"].default
+        assert args.explore_spacing == spacing == 5e-3
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"instances": [{"type": "example4", "s": 1}]}))
+        assert cli._load_manifest(path)[0]["solver_budget"] == defaults["max_iter"]
 
     @pytest.mark.parametrize("command", ["generate", "solve", "front", "metrics", "profiles"])
     def test_subcommand_help_shows_defaults(self, command, capsys):

@@ -240,7 +240,7 @@ def _load_manifest(**fields):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "manifest.json"
         path.write_text(json.dumps({"instances": [{"type": "example4", "s": 1}], **fields}))
-        return cli._load_manifest(path)
+        return cli._load_manifest(path)[0]
 
 
 _P = example_biobjective()

@@ -226,13 +226,12 @@ class TestLineSearches:
                 sol = reference_theta_subspace(ref, x, SupportSet(tuple(range(lib.n)), lib.n))
                 if sol.theta >= 0.0:
                     continue
-                for I in (None, [0], [lib.m - 1, 0]):
-                    for fx in (None, np.asarray(ref.evaluate(x), dtype=float)):
-                        a = armijo_step(lib, x, sol.d, sol.theta, I, cfg, fx)
-                        b = reference_armijo(ref, x, sol.d, sol.theta, I, cfg, fx)
-                        assert a[0] == b[0] and same(a[1], b[1]) and same(a[2], b[2])
-                        count += 1
-        assert count > 500
+                for fx in (None, np.asarray(ref.evaluate(x), dtype=float)):
+                    a = armijo_step(lib, x, sol.d, sol.theta, cfg, fx)
+                    b = reference_armijo(ref, x, sol.d, sol.theta, cfg, fx)
+                    assert a[0] == b[0] and same(a[1], b[1]) and same(a[2], b[2])
+                    count += 1
+        assert count > 300
 
     def test_mosd(self):
         rng = np.random.default_rng(9)

@@ -175,10 +175,9 @@ class TestArmijoKnownValues:
         count = 0
         for p, x, sol in self.cases():
             cfg = default_config(p)
-            for I in (None, [0], [1], [1, 0]):
-                plain = armijo_common(p, x, sol.d, sol.theta, I, cfg)
-                known = armijo_common(p, x, sol.d, sol.theta, I, cfg, fx=p.evaluate(x))
-                assert np.float64(known).tobytes() == np.float64(plain).tobytes()
+            plain = armijo_common(p, x, sol.d, sol.theta, None, cfg)
+            known = armijo_common(p, x, sol.d, sol.theta, None, cfg, fx=p.evaluate(x))
+            assert np.float64(known).tobytes() == np.float64(plain).tobytes()
             count += 1
         assert count >= 12
 
@@ -201,6 +200,14 @@ class TestArmijoKnownValues:
         for fx in (np.zeros(3), np.zeros((2, 1)), np.zeros(1), 0.0):
             with pytest.raises(ValueError, match="fx"):
                 armijo_common(example_problem, x, d, -0.5, None, cfg, fx=fx)
+
+    def test_objective_subset_rejected(self, example_problem):
+        # the search tests every objective; the I slot only keeps cfg's position
+        cfg = SolverConfig(L=1.0)
+        x, d = np.array([0.0, 0.5]), np.array([1.0, 0.0])
+        for I in ([0], [0, 1], ()):
+            with pytest.raises(ValueError, match="every objective"):
+                armijo_common(example_problem, x, d, -0.5, I, cfg)
 
     def test_fx_is_keyword_only(self, example_problem):
         cfg = SolverConfig(L=1.0)
@@ -348,7 +355,7 @@ class TestMohyb:
 class TestScalarizedIht:
     def test_unit_tradeoff_fixpoint(self, example_problem):
         cfg = SolverConfig(L=2.2)
-        pts = scalarized_iht(example_problem, 1, [1.0], np.zeros(2), cfg)
+        pts = scalarized_iht(example_problem, 1, [1.0], cfg)
         np.testing.assert_allclose(pts[0], [2.0, 0.0], atol=1e-3)
         # one-step fixpoint check on the combined objective at (2, 0)
         sp = scalarize(example_problem, 1.0)
@@ -358,7 +365,7 @@ class TestScalarizedIht:
 
     def test_zero_weight_reduces_to_first_objective(self, example_problem):
         cfg = SolverConfig(L=1.1)
-        pts = scalarized_iht(example_problem, 1, [0.0], np.zeros(2), cfg)
+        pts = scalarized_iht(example_problem, 1, [0.0], cfg)
         p1 = single_objective_quadratic(np.array([3.0, 2.5]))
         x_oracle, _ = moiht(p1, np.zeros(2), 1, SolverConfig(L=1.1))
         np.testing.assert_allclose(pts[0], x_oracle, atol=1e-12)
@@ -383,7 +390,7 @@ class TestScalarizedIht:
     def test_requires_two_objectives(self):
         p = single_objective_quadratic(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            scalarized_iht(p, 1, [1.0], np.zeros(2), SolverConfig(L=1.1))
+            scalarized_iht(p, 1, [1.0], SolverConfig(L=1.1))
 
 
 class TestConfigs:
@@ -398,8 +405,7 @@ class TestConfigs:
     def test_default_config_settings(self, example_problem):
         cfg = default_config(example_problem, "logistic", eps=1e-9, max_iter=7, tau0=2.0)
         assert (cfg.eps, cfg.max_iter, cfg.tau0, cfg.family) == (1e-9, 7, 2.0, "logistic")
-        kept = default_config(example_problem, eps=None, max_iter=None, tau0=None)
-        assert kept == default_config(example_problem)
+        kept = default_config(example_problem)
         assert (kept.eps, kept.max_iter, kept.tau0) == (1e-7, 10_000, 1.0)
         with pytest.raises(ValueError, match="tau0"):
             default_config(example_problem, tau0=0.0)
