@@ -41,7 +41,7 @@ from .problems import (
     save_instance,
     write_json,
 )
-from .sfsd import (EXPLORE_SPACING, SEED_INDEPENDENT, STRATEGIES, initialize, sfsd_run,
+from .sfsd import (EXPLORE_SPACING, N_STARTS, SEED_INDEPENDENT, STRATEGIES, initialize, sfsd_run,
                    solve_starts)
 from .solvers import SolverConfig, default_config, mosd
 
@@ -303,7 +303,8 @@ def cmd_front(args) -> int:
 
 
 def _parse_named_fronts(items):
-    """``[(name, F)]`` for ``NAME=PATH`` items; a name keys one metrics row."""
+    """``[(name, F)]`` for ``NAME=PATH`` items; a name keys one metrics row.
+    Fronts with rows must agree on the number of objectives."""
     pairs = []
     for item in items:
         if "=" not in item:
@@ -312,7 +313,14 @@ def _parse_named_fronts(items):
     _check_unique([name for name, _ in pairs], lambda i, j: (
         f"--front {pairs[i][1]} and {pairs[j][1]} are both named {pairs[i][0]!r}; "
         "front names must be unique"))
-    return [(name, read_front_csv(path)[0]) for name, path in pairs]
+    named = [(name, read_front_csv(path)[0]) for name, path in pairs]
+    sized = [(name, path, F.shape[1]) for (name, path), (_, F) in zip(pairs, named) if F.size]
+    for name, path, m in sized[1:]:
+        name0, path0, m0 = sized[0]
+        if m != m0:
+            raise DataError(f"front {name0!r} ({path0}) has {m0} objectives, front {name!r} "
+                            f"({path}) has {m}; fronts must agree on the number of objectives")
+    return named
 
 
 def _write_metrics_table(path, named, reference, spread=None):
@@ -479,7 +487,8 @@ def _load_manifest(path):
         _check_unique(values, lambda i, j: (
             f"{source} '{key}[{i}]' and '{key}[{j}]' are both {values[i]!r}; "
             "each run's CSV is keyed by strategy and run seed"))
-    for key, default, minimum in (("seed", 0, 0), ("n_starts", 10, 1), ("sfsd_budget", 10, 1),
+    for key, default, minimum in (("seed", 0, 0), ("n_starts", N_STARTS, 1),
+                                  ("sfsd_budget", 10, 1),
                                   ("solver_budget", SolverConfig.max_iter, 1)):
         check_number(f"{source} '{key}'", manifest.setdefault(key, default), minimum, integer=True)
     return manifest, files
@@ -585,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(non-deterministic benchmark parity mode)")
         sp.add_argument("--strategy", default="mohyb", choices=STRATEGIES,
                         help="solver strategy for the multi-start (front's phase one)")
-        sp.add_argument("--n-starts", type=int, default=10, help="number of starts")
+        sp.add_argument("--n-starts", type=int, default=N_STARTS, help="number of starts")
         sp.add_argument("--out", required=True, help="output front CSV")
 
     gen = sub.add_parser("generate", help="write benchmark instance files")

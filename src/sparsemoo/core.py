@@ -49,6 +49,10 @@ def check_number(name, value, low, high=math.inf, *, integer=False, open_low=Fal
     """Return ``value`` if it is a finite number (an integer with ``integer``; never a
     ``bool``) with ``low <= value < high`` (``low < value`` with ``open_low``);
     otherwise raise :class:`DataError` naming ``name``."""
+    kind = type(value)  # an exact int or float in range passes before the generic tests
+    if ((kind is int or (kind is float and not integer and math.isfinite(value)))
+            and (low < value if open_low else low <= value) and value < high):
+        return value
     if (isinstance(value, bool)
             or not isinstance(value, numbers.Integral if integer else numbers.Real)
             or not (isinstance(value, numbers.Integral) or math.isfinite(value))
@@ -119,6 +123,18 @@ class SupportSet:
     @classmethod
     def from_iterable(cls, indices: Iterable[int], n: int) -> "SupportSet":
         return cls(tuple(sorted(set(int(i) for i in indices))), n)
+
+    @classmethod
+    def _from_sorted(cls, arr: np.ndarray, n: int) -> "SupportSet":
+        """The set of ``arr``, unchecked: ``arr`` must be a 1-D ``intp`` array
+        of sorted, distinct indices in ``[0, n)`` that nothing else writes.
+        It is made read-only and becomes :meth:`as_array`'s cached array."""
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "indices", tuple(arr.tolist()))
+        object.__setattr__(out, "n", n)
+        out.__dict__["_index_array"] = arr
+        return out
 
     @functools.cached_property
     def _index_array(self) -> np.ndarray:

@@ -15,12 +15,14 @@ objective the value separates by coordinate, and ``theta_L`` first tries
 hard thresholding (:func:`_hard_threshold`): the top s of a per-coordinate
 score, proven the unique minimizer by the gap to the next one.  Otherwise
 one kernel (:func:`_best_support`) finds the lexicographically first
-minimizer.  Past :func:`_screen_min` candidates a Lagrangian bound first
-tries to prove one candidate the unique minimizer with one simplex-QP
-solve (:func:`_certify`).  When it cannot, the same bound (:func:`_screen`)
-fixes coordinates in or out of every minimizer, and only the supports that
-respect those fixings are scored (at most ``MAX_SUPPORTS``), in the same
-order and by the same arithmetic.  The three proofs (hard thresholding,
+minimizer.  Whenever there is more than one candidate, a Lagrangian bound
+first tries to prove one the unique minimizer with one simplex-QP solve
+(:func:`_certify`), starting from the iterate's own support, which
+consecutive MOIHT iterates mostly keep.  When it cannot, past
+:func:`_screen_min` candidates the same bound (:func:`_screen`) fixes
+coordinates in or out of every minimizer.  Then the supports left are
+scored (at most ``MAX_SUPPORTS``), in the same order and by the same
+arithmetic.  The three proofs (hard thresholding,
 certificate, screen) clear one rounding margin, :func:`_margin`.  In every
 case the result is bit-identical to scoring every support.
 """
@@ -47,6 +49,10 @@ from .core import (
 )
 from .simplex_qp import DirectionSolution, solve_simplex_qp
 
+# The empty index set: theta_L's search fixes no coordinate.
+_NO_INDICES = np.empty(0, dtype=np.intp)
+_NO_INDICES.setflags(write=False)
+
 # Enumerations up to _CACHE_LIMIT rows are built once and cached; larger ones
 # stream in blocks of _CHUNK rows.
 _CHUNK = 131_072
@@ -54,10 +60,12 @@ _CACHE_LIMIT = 100_000
 
 
 def _screen_min(m: int) -> int:
-    """Searches over more than this many supports are screened first.
+    """Searches over more than this many supports are screened when the
+    certificate declines; it is the screen's threshold only, since
+    :func:`_certify` is tried on every search with more than one candidate.
 
     With m <= 2 objectives every support is scored in closed form, and below
-    2,000 of them the bound costs more than scoring them all.  With m >= 3
+    2,000 of them the screen costs more than scoring them all.  With m >= 3
     each support costs one simplex-QP solve, so the screen always pays.
     """
     return 2_000 if m <= 2 else 0
@@ -173,10 +181,11 @@ def _with_fixed(fixed, rows) -> np.ndarray:
 
 def _margin(grads, x, L, value) -> float:
     """The rounding margin a bound must clear above ``value`` to decide:
-    ``1e-9 (sum_i (A_i |x_i| + L x_i^2 + A_i^2 / L) + |value|)`` with
-    ``A_i = max_j |grad_ji|``, relative to what enters bounds and values."""
-    A = np.abs(grads).max(axis=0)
-    return 1e-9 * float(np.sum(A * np.abs(x) + L * x * x + A * A / L) + abs(value))
+    ``1e-9 (A.|x| + L x.x + A.A / L + |value|)`` with ``A_i = max_j |grad_ji|``,
+    relative to what enters bounds and values.  A non-finite gradient makes
+    it NaN or inf, so no bound clears it."""
+    A = np.abs(grads[0]) if grads.shape[0] == 1 else np.abs(grads).max(axis=0)
+    return 1e-9 * float(A.dot(np.abs(x)) + L * x.dot(x) + A.dot(A) / L + abs(value))
 
 
 def _screen(grads, x, L, fixed, free, k):
@@ -246,7 +255,7 @@ def _hard_threshold(grads, x, L, s):
     theta = 0.5 * L * x.dot(x) - g.dot(x) - r[order[:s]].sum()
     if not r[order[s - 1]] - r[order[s]] > _margin(grads, x, L, theta):
         return None
-    return SupportSet(tuple(np.sort(order[:s]).tolist()), n), None
+    return SupportSet._from_sorted(np.sort(order[:s]), n), None
 
 
 def _pinned_qp(grads, x, L, cols):
@@ -275,51 +284,68 @@ def _certify(grads, x, L, fixed, free, k):
     """The support ``fixed ∪ E`` (E a size-k subset of ``free``) and its
     pinned solve ``(d, sol)`` if it is proven the unique minimizer, else None.
 
-    The candidate E is the top k of r at uniform weights; its pinned solve
-    gives the value U and weights lam.  If E is again the top k at lam and
-    :func:`_top_k`'s bound there exceeds U by :func:`_margin`, every other
-    support is worse.  If another set is the top k at lam, that set is
-    tried once in turn.
+    The first candidate E is the iterate's own support, the coordinates of
+    ``free`` where x is nonzero, when there are exactly k of them:
+    consecutive MOIHT iterates mostly keep their support.  Otherwise it is
+    the top k of r at uniform weights.  Its pinned solve gives the value U
+    and weights lam.  If E is again the top k at lam and :func:`_top_k`'s
+    bound there exceeds U by :func:`_margin`, every other support is worse.
+    If another set is the top k at lam, that set is tried once in turn.
     """
     m = grads.shape[0]
-    E = _top_k(grads, x, L, fixed, free, k, np.full(m, 1.0 / m))[0]
+    E = free[np.flatnonzero(x[free])]
+    if E.size != k:
+        E = _top_k(grads, x, L, fixed, free, k, np.full(m, 1.0 / m))[0]
     for _ in range(2):  # the candidate, then at most one re-pick
-        K = np.sort(np.concatenate([fixed, E]))
+        K = np.sort(np.concatenate([fixed, E])) if fixed.size else E
         d, sol = _pinned_qp(grads, x, L, K)
         top, bound = _top_k(grads, x, L, fixed, free, k, sol.lam)
         if not np.array_equal(top, E):
             E = top
             continue
         proven = bound > sol.theta + _margin(grads, x, L, sol.theta)
-        return (SupportSet(tuple(K.tolist()), x.size), (d, sol)) if proven else None
+        return (SupportSet._from_sorted(K, x.size), (d, sol)) if proven else None
     return None
+
+
+@functools.lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    """``range(n)`` as a read-only ``intp`` array: ``free`` when nothing is fixed."""
+    arr = np.arange(n, dtype=np.intp)
+    arr.setflags(write=False)
+    return arr
 
 
 def _best_support(grads, x, L, s, fixed):
     """Lexicographically first size-s superset of ``fixed`` minimizing
     :func:`_scores`, and the pinned solve on it when the certificate found it.
 
-    Above :func:`_screen_min` candidates :func:`_certify` first tries to
-    prove one support the unique minimizer with a single simplex-QP solve
-    (two when it re-picks), and returns it with that solve ``(d, sol)``.
-    When it declines, :func:`_screen` narrows the candidates; the rows it
-    keeps are still scored in lexicographic order, so the returned support
-    is the one a full enumeration returns, and the solve is None.  Raises
+    Whenever there is more than one candidate, :func:`_certify` first tries
+    to prove one support the unique minimizer with a single simplex-QP solve
+    (two when it re-picks), starting from the iterate's own support, and
+    returns it with that solve ``(d, sol)``.  When it declines past
+    :func:`_screen_min` candidates, :func:`_screen` narrows them.  The rows
+    left are scored in lexicographic order, so the returned support is the
+    one a full enumeration returns, and the solve is None.  Raises
     :class:`CapacityError` when more than ``MAX_SUPPORTS`` rows are left to
-    score after the screen.
+    score.
     """
     n = x.size
-    is_free = np.ones(n, dtype=bool)
-    is_free[fixed] = False
-    free = np.flatnonzero(is_free)
+    if fixed.size:
+        is_free = np.ones(n, dtype=bool)
+        is_free[fixed] = False
+        free = np.flatnonzero(is_free)
+    else:
+        free = _arange(n)
     k = s - fixed.size
-    # a single candidate (k = 0, or all of free) needs no screen
-    if math.comb(free.size, k) > max(_screen_min(grads.shape[0]), 1):
+    total = math.comb(free.size, k)
+    if total > 1:  # a single candidate (k = 0, or all of free) needs no proof
         certified = _certify(grads, x, L, fixed, free, k)
         if certified is not None:
             return certified
-        fixed, free, k = _screen(grads, x, L, fixed, free, k)
-    total = math.comb(free.size, k)
+        if total > _screen_min(grads.shape[0]):
+            fixed, free, k = _screen(grads, x, L, fixed, free, k)
+            total = math.comb(free.size, k)
     if total > MAX_SUPPORTS:
         raise CapacityError(f"scoring {total} supports exceeds the cap {MAX_SUPPORTS}; "
                             "reduce n or s")
@@ -395,11 +421,11 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     landing point: off K the move is pinned to ``d = -x``, contributing the
     affine offsets ``b_j = grad_j^T c + (L/2)||c||^2``; on K the remaining
     strongly convex min-max is solved exactly.  The minimum over K is the
-    global optimum; the lexicographically first minimizer is returned.  Up
-    to :func:`_screen_min` supports every one is scored; beyond that a
-    Lagrangian bound first tries to certify one support optimal, and when
-    it cannot, rules coordinates in or out and scores only the supports
-    that can still attain the minimum.  A certified support's QP solve is
+    global optimum; the lexicographically first minimizer is returned.  A
+    Lagrangian bound first tries to certify one support optimal, starting
+    from the support of ``x``; when it cannot, past :func:`_screen_min`
+    supports it rules coordinates in or out, and the supports that can
+    still attain the minimum are scored.  A certified support's QP solve is
     the final solve, the same call on the same arrays.  With one objective
     (the scalarized baseline) the search is first settled by hard
     thresholding ``x - g/L``, whenever the s-th and (s+1)-th largest
@@ -409,8 +435,7 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     x, s = check_point(x, s, p.n)
     check_number("L", L, 0, open_low=True)
     grads = np.asarray(p.gradient(x), dtype=float)
-    best_K, solved = (_hard_threshold(grads, x, L, s)
-                      or _best_support(grads, x, L, s, np.array([], dtype=np.intp)))
+    best_K, solved = _hard_threshold(grads, x, L, s) or _best_support(grads, x, L, s, _NO_INDICES)
     cols = best_K.as_array()
     d_full, sol = solved or _pinned_qp(grads, x, L, cols)
     d_full[cols] = sol.d

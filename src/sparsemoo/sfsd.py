@@ -52,6 +52,8 @@ DEDUPE_TOL = 1e-10
 FINAL_EPS = 1e-4
 # Default relative spacing floor of sfsd_run's exploration (explore_spacing).
 EXPLORE_SPACING = 5e-3
+# Default number of phase-one starts (the CLI's --n-starts, a manifest's n_starts).
+N_STARTS = 10
 
 # Phase-one strategies, in the order the CLI lists them.
 STRATEGIES = ("moiht", "mospd", "mohyb", "scalarized")

@@ -124,6 +124,7 @@ def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
     x = x0.copy()
     trace = SolverTrace(iterates=[], status="budget_exhausted")
     fx = np.asarray(p.evaluate(x), dtype=float)
+    curvature_gap = cfg.L - p.lipschitz
     for k in range(cfg.max_iter + 1):
         sol = theta_L(p, x, s, cfg.L)
         trace.iterates.append((x.copy(), fx.copy(), sol.theta))
@@ -135,7 +136,7 @@ def moiht(p: MultiObjectiveProblem, x0: np.ndarray, s: int, cfg: SolverConfig):
         x = x + sol.d
         fnew = np.asarray(p.evaluate(x), dtype=float)
         if __debug__:
-            gap = 0.5 * float(sol.d @ sol.d) * (cfg.L - p.lipschitz)
+            gap = 0.5 * float(sol.d @ sol.d) * curvature_gap
             # rounding in f grows with |f| (scalarized weights reach ~1e10)
             slack = 1e-9 + 1e-12 * (np.abs(fx) + np.abs(fnew))
             assert np.all(fx - fnew >= gap - slack), "descent lemma violated"

@@ -9,11 +9,12 @@ so that the library's leaner version can be held to the same bytes.
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
 from sparsemoo import MultiObjectiveProblem, SupportSet, logistic_problem, project_sparse, support
-from sparsemoo.core import check_point, l0_norm
+from sparsemoo.core import DataError, check_point, l0_norm
 from sparsemoo.simplex_qp import DirectionSolution, _solve_active_set
 from sparsemoo.solvers import MAX_HALVINGS
 
@@ -443,3 +444,16 @@ def reference_assign_super_support(p, x, s, cfg):
     taken = set(int(i) for i in support(x))
     fill = [i for i in range(p.n) if i not in taken][: s - len(taken)]
     return x, SupportSet(tuple(sorted(taken.union(fill))), p.n)
+
+
+def reference_check_number(name, value, low, high=math.inf, *, integer=False, open_low=False):
+    """:func:`check_number` as the chain of ``numbers`` type tests alone."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or not (low < value if open_low else low <= value) or not value < high):
+        lower = f"{'>' if open_low else '>='} {low}"
+        bounds = lower if high == math.inf else f"{lower} and < {high}"
+        raise DataError(f"{name} must be {'an integer' if integer else 'a finite number'} "
+                        f"{bounds}, got {value!r}")
+    return value

@@ -21,7 +21,9 @@ def load_tracing():
     return module
 
 
-def test_tracer_counts_a_smoke_front_and_restores_every_patch():
+def traced_front(strategy):
+    """A smoke-size front of ``strategy``, traced: the tracer, its patches
+    as installed, and its per-layer metrics."""
     tracer = load_tracing().Tracer()
     p = generate_quadratic(10, 10.0, 5).problem()
     cfg = default_config(p, max_iter=3000)
@@ -30,12 +32,17 @@ def test_tracer_counts_a_smoke_front_and_restores_every_patch():
     try:
         tp = tracer.problem(p)
         tracer.enabled = True
-        archive = sfsd.initialize(tp, 2, "mospd", 2, 0, (-2.0, 2.0), cfg)
+        archive = sfsd.initialize(tp, 2, strategy, 2, 0, (-2.0, 2.0), cfg)
         sfsd.sfsd_run(tp, archive, 2, cfg, 1, explore_spacing=0.02)
     finally:
         tracer.enabled = False
         tracer.restore()
     metrics = {name: value for name, (value, _) in tracer.layer_metrics(1.0).items()}
+    return tracer, patched, metrics
+
+
+def test_tracer_counts_a_smoke_front_and_restores_every_patch():
+    tracer, patched, metrics = traced_front("mospd")
     assert metrics["solvers.armijo_common.calls"] >= 1
     assert metrics["solvers.armijo_common.evals"] >= 1
     assert metrics["simplex_qp.solve.calls"] >= 1
@@ -48,3 +55,13 @@ def test_tracer_counts_a_smoke_front_and_restores_every_patch():
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} left patched"
+
+
+def test_tracer_sees_every_moiht_search():
+    # moiht reaches each step through the traced theta_L, and every search
+    # solves at least its final QP through the traced simplex-QP name
+    _, _, metrics = traced_front("moiht")
+    assert metrics["directions.theta_L.calls"] >= 1
+    assert metrics["simplex_qp.solve.calls"] >= (
+        metrics["directions.theta_subspace.calls"] + metrics["directions.theta_L.calls"]
+        + metrics["directions.theta_feasible.calls"])

@@ -13,6 +13,7 @@ import sparsemoo.cli as cli
 from sparsemoo import SolverConfig, is_L_stationary, load_instance, sfsd_run
 from sparsemoo.cli import main, read_front_csv
 from sparsemoo.problems import read_table
+from sparsemoo.sfsd import N_STARTS
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -479,6 +480,18 @@ class TestMetricsAndProfiles:
         assert f"{ref}: the reference front has 3 objectives, front 'A' has 2" in err
         assert not out.exists()
 
+    def test_combined_reference_with_other_objective_counts_rejected(self, tmp_path, capsys):
+        fa, fb, fe = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "e.csv"
+        self._write_front(fa, [(1.0, 2.0), (2.0, 1.0)])
+        fb.write_text("f1,f2,f3,support,x_1,x_2\n1.0,2.0,3.0,1,0.0,0.0\n")
+        fe.write_text("f1,f2,f3,support,x_1,x_2\n")  # no rows: no count to disagree with
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--front", f"E={fe}", "--front", f"A={fa}", "--front", f"B={fb}",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"front 'A' ({fa}) has 2 objectives, front 'B' ({fb}) has 3" in err
+        assert not out.exists()
+
     def test_profiles_problem_named_twice_rejected(self, tmp_path, capsys):
         table = "solver,purity,gamma_spread,delta_spread,hypervolume\nS1,1.0,1.0,0.5,1.0\n"
         paths = [tmp_path / d / "inst.csv" for d in ("a", "b")]
@@ -748,9 +761,12 @@ class TestTopLevel:
         assert args.tau0 == defaults["tau0"] == 1.0
         spacing = inspect.signature(sfsd_run).parameters["explore_spacing"].default
         assert args.explore_spacing == spacing == 5e-3
+        assert args.n_starts == N_STARTS == 10
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"instances": [{"type": "example4", "s": 1}]}))
-        assert cli._load_manifest(path)[0]["solver_budget"] == defaults["max_iter"]
+        manifest = cli._load_manifest(path)[0]
+        assert manifest["solver_budget"] == defaults["max_iter"]
+        assert manifest["n_starts"] == N_STARTS
 
     @pytest.mark.parametrize("command", ["generate", "solve", "front", "metrics", "profiles"])
     def test_subcommand_help_shows_defaults(self, command, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsemoo import (
@@ -37,7 +37,7 @@ from sparsemoo.core import check_number
 from sparsemoo.problems import check_instance_entry
 from sparsemoo.sfsd import solve_starts
 
-from oracles import nondominated_indices
+from oracles import nondominated_indices, reference_check_number
 
 # Small integer fronts: few values per objective, so ties, duplicates and
 # dominated rows are all common.
@@ -234,6 +234,39 @@ class TestCheckNumber:
         else:
             with pytest.raises(DataError, match="^knob must be"):
                 check_number("knob", value, low, high, integer=integer, open_low=open_low)
+
+
+    @settings(max_examples=500, deadline=None)
+    # the edges of the exact-type path: infinite bounds, -0.0, NaN, int vs float
+    @example(value=-math.inf, low=-math.inf, high=math.inf, integer=False, open_low=False)
+    @example(value=-0.0, low=0, high=1, integer=False, open_low=True)
+    @example(value=math.nan, low=-math.inf, high=math.inf, integer=False, open_low=False)
+    @example(value=2.0, low=0, high=5, integer=True, open_low=False)
+    @given(
+        value=st.one_of(
+            st.integers(-10, 20), st.integers(-10**400, 10**400), st.booleans(),
+            st.floats(), st.floats(-10, 20),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+            # numpy scalars: none is an exact int or float, though float64 subclasses float
+            st.integers(-10, 20).map(np.int64), st.integers(-10, 20).map(np.int8),
+            st.integers(0, 20).map(np.uint16), st.booleans().map(np.bool_),
+            st.floats().map(np.float64), st.floats(-10, 20).map(np.float64),
+            st.floats(width=32).map(np.float32)),
+        low=st.one_of(st.integers(-5, 5), st.floats(-5, 5), st.just(-math.inf)),
+        high=st.one_of(st.integers(-5, 20), st.floats(-5, 20), st.just(math.inf)),
+        integer=st.booleans(),
+        open_low=st.booleans(),
+    )
+    def test_matches_the_reference_rule(self, value, low, high, integer, open_low):
+        def outcome(check):
+            try:
+                out = check("knob", value, low, high, integer=integer, open_low=open_low)
+            except DataError as err:
+                return "raised", str(err)
+            assert out is value
+            return "returned", None
+
+        assert outcome(check_number) == outcome(reference_check_number)
 
 
 def _load_manifest(**fields):

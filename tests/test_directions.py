@@ -428,7 +428,9 @@ class TestScreenedSearch:
         import sparsemoo.directions as directions
 
         default = [self.results(p, s) for p, s in self.cases()]
+        # every support scored: no screen, no certificate, no hard threshold
         monkeypatch.setattr(directions, "_screen_min", lambda m: 10**18)
+        monkeypatch.setattr(directions, "_certify", lambda *args: None)
         monkeypatch.setattr(directions, "_hard_threshold", lambda *args: None)
         full = [self.results(p, s) for p, s in self.cases()]
         monkeypatch.undo()
@@ -623,6 +625,46 @@ class TestScreenedSearch:
         assert len(calls) > 100
         assert len(calls) - len(screens) >= share * len(calls)
 
+    def test_certificate_settles_small_searches(self, monkeypatch):
+        # C(10, 5) = 252 supports, below the screen's threshold: the
+        # certificate, tried from the iterate's own support, settles most
+        # MOIHT steps before any support is scored
+        import sparsemoo.directions as directions
+        import sparsemoo.solvers as solvers
+
+        p = generate_quadratic(10, 10.0, 0).problem()
+        scored, calls = [], []
+        real_scores, real_theta_L = directions._scores, solvers.theta_L
+
+        def counting_scores(*args):
+            scored[-1] = True
+            return real_scores(*args)
+
+        def counting_theta_L(*args):
+            scored.append(False)
+            return real_theta_L(*args)
+
+        monkeypatch.setattr(directions, "_scores", counting_scores)
+        monkeypatch.setattr(solvers, "theta_L", counting_theta_L)
+        solve_starts(p, 5, "moiht", 3, 0, (-2.0, 2.0), default_config(p))
+        assert len(scored) > 100
+        assert sum(scored) <= 0.1 * len(scored)
+
+    def test_searched_supports_equal_checked_ones(self):
+        # the hard threshold (one objective) and the certificate (two) build
+        # their SupportSet unchecked from the index array they hold
+        x = project_sparse(np.random.default_rng(0).normal(size=20), 5)
+        for p in (single_objective_quadratic(np.arange(20.0)),
+                  generate_quadratic(20, 10.0, 0).problem()):
+            K = theta_L(p, x, 5, 1.1 * float(p.lipschitz.max())).support
+            assert "_index_array" in vars(K)  # the search's array, not one built from indices
+            checked = SupportSet(K.indices, 20)
+            assert K == checked and hash(K) == hash(checked)
+            assert all(type(i) is int for i in K.indices)
+            arr = K.as_array()
+            assert arr.dtype == np.intp and not arr.flags.writeable
+            np.testing.assert_array_equal(arr, checked.as_array())
+
 
 @st.composite
 def gridded_search(draw):
@@ -655,6 +697,7 @@ def test_certified_matches_full_enumeration(search):
     # a function-scoped monkeypatch fixture would outlive the examples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(directions, "_screen_min", lambda m: 10**18)
+        mp.setattr(directions, "_certify", lambda *args: None)
         mp.setattr(directions, "_hard_threshold", lambda *args: None)
         full = results()
         mp.undo()
