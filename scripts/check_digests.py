@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 scripts/check_digests.py
+    python3 scripts/check_digests.py [--workload NAME]...
 
 Runs every distinct round of every workload in ``bench/workloads.py`` once,
 seed 0, with BLAS pinned to one thread as ``bench/run.py`` pins it, and
@@ -10,6 +10,8 @@ compares each front's digest with ``bench/digests.json``.  A timed
 ``bench/run.py`` run covers only the rounds that fit in its time; this
 covers them all.  Nothing in the checkout is written.  Exits 1 when a
 digest differs, is missing or a front fails its checks, else 0.
+``--workload NAME`` (repeatable) checks only the named workloads, in the
+order given, and prints only their ``bytes`` lines.
 
 The committed digests round values to 12 digits.  So the script also
 prints one ``bytes <workload> <sha256>`` line per workload over the exact
@@ -21,6 +23,7 @@ fronts bit for bit.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -55,9 +58,15 @@ def hash_files(h, root: Path, tmp: str):
         h.update(data)
 
 
+WORKLOADS = ("quad_front", "enum_init", "logit_front", "reproduce")
+
+
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", choices=WORKLOADS, metavar="NAME",
+                    help="check only this workload (repeatable; default: all four)")
+    names = tuple(dict.fromkeys(ap.parse_args().workload or WORKLOADS))
     committed = workloads.load_digests()
-    names = ("quad_front", "enum_init", "logit_front", "reproduce")
     failures, checked, hashers = [], 0, []
     sfsd_run = workloads.sfsd.sfsd_run
 

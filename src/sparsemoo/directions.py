@@ -362,14 +362,17 @@ def _best_support(grads, x, L, s, fixed):
     return SupportSet(tuple(best_K.tolist()), n), None
 
 
-def theta_subspace(p, x, J, I=None) -> DirectionSolution:
+def theta_subspace(p, x, J, I=None, *, grads=None) -> DirectionSolution:
     """Steepest common descent value/direction restricted to the set ``J``.
 
     Solves ``min_d max_{j in I} grad_j^T d + 0.5 ||d||^2`` subject to
     ``d = 0`` off ``J`` and returns the full-length direction.  ``I`` is an
     iterable of 0-based objective indices; ``None`` means all objectives.
+
+    ``grads``, when given, must be ``p.gradient(x)``'s own output (or a
+    copy of its bits), as :class:`sparsemoo.sfsd.ArchiveEntry` keeps it:
+    the oracle is then not called again.  The result is the same.
     """
-    x = np.asarray(x, dtype=float)
     J = as_support(J, p.n)
     if I is not None:
         I = sorted(set(int(j) for j in I))
@@ -377,7 +380,10 @@ def theta_subspace(p, x, J, I=None) -> DirectionSolution:
             raise ValueError("objective subset I must be nonempty")
         if any(not 0 <= j < p.m for j in I):
             raise ValueError(f"objective indices out of range [0, {p.m})")
-    return _subspace_direction(np.asarray(p.gradient(x), dtype=float), I, J.as_array())
+    if grads is None:
+        grads = p.gradient(np.asarray(x, dtype=float))
+    grads = np.asarray(grads, dtype=float)
+    return _subspace_direction(grads, I, J.as_array())
 
 
 def _subspace_direction(grads, I, cols) -> DirectionSolution:
@@ -385,12 +391,21 @@ def _subspace_direction(grads, I, cols) -> DirectionSolution:
 
     The gather is ``take``, whose C-ordered copy transposes to the same
     layout, and so the same BLAS path and the same bits, as an ``np.ix_``
-    gather; ``grads[:, cols]`` would not.
+    gather; ``grads[:, cols]`` would not.  When ``cols`` is every
+    coordinate (mospd's case) a C-ordered ``grads`` has that layout
+    already, so neither the column gather nor the scatter back is made.
     """
-    rows = (grads if I is None else grads.take(I, axis=0)).take(cols, axis=1)
+    n = grads.shape[1]
+    rows = grads if I is None else grads.take(I, axis=0)
+    every = cols.size == n and rows.flags.c_contiguous
+    if not every:
+        rows = rows.take(cols, axis=1)
     sol = solve_simplex_qp(rows.T, b=None, L=1.0)  # (|J|, |I|) columns
-    d_full = np.zeros(grads.shape[1])
-    d_full[cols] = sol.d
+    if every:
+        d_full = sol.d
+    else:
+        d_full = np.zeros(n)
+        d_full[cols] = sol.d
     # d = 0 is feasible with zero offsets, so the true value is <= 0; any
     # positive residue is floating point noise.
     return DirectionSolution(d=d_full, lam=sol.lam, theta=min(sol.theta, 0.0))

@@ -348,6 +348,12 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
       ``(2n + 3) u W^2``.
 
     Both are at least ``8 u |f_j|`` along the segment.
+
+    ``evaluate``, ``gradient`` and ``line`` share the products at their
+    point ``w``: the margins ``t * R.dot(w)`` and the weights
+    ``t * expit(-margins)`` are kept for the last point seen, keyed by
+    ``w``'s dtype, shape and bytes (a point changed in place is a new
+    key), and computed by the same expressions, so the bits are the same.
     """
     R = np.asarray(R, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -362,15 +368,24 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
     from scipy.special import expit  # here, so quadratic-only runs never load scipy
 
     RT = R.T
+    # one slot: the last point's key, its margins and t * expit(-margins)
+    memo = [None, None, None]
+
+    def products(w, weights: bool):
+        key = (w.dtype, w.shape, w.tobytes())
+        if key != memo[0]:
+            memo[:] = key, t * R.dot(w), None
+        if weights and memo[2] is None:
+            memo[2] = t * expit(-memo[1])
+        return memo[1], memo[2]
 
     def ev(w):
-        margins = t * R.dot(w)
+        margins = products(w, False)[0]
         # the sum and division np.mean performs, without its dispatch
         return np.array([np.logaddexp(0.0, -margins).sum() / N, 0.5 * w.dot(w)])
 
     def grad(w):
-        margins = t * R.dot(w)
-        g1 = -RT.dot(t * expit(-margins)) / N
+        g1 = -RT.dot(products(w, True)[1]) / N
         return np.array([g1, w])
 
     rho = float(np.sqrt((R * R).sum(axis=1)).max())
@@ -379,7 +394,7 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
     log2 = math.log(2.0)
 
     def line(w, d):
-        s1 = -(t * expit(-(t * R.dot(w)))).dot(R.dot(d)) / N
+        s1 = -products(w, True)[1].dot(R.dot(d)) / N
         q = float(d.dot(d))
         W = math.sqrt(w.dot(w)) + math.sqrt(q)
         P = rho * W

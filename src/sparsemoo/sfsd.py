@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,16 +65,22 @@ SEED_INDEPENDENT = ("scalarized",)
 @dataclass(frozen=True, eq=False)
 class ArchiveEntry:
     """One archive row: a point, its super support key both stored immutably,
-    and the cached objective vector.
+    the cached objective vector and, once :meth:`gradient` is asked, the
+    cached gradients.
 
     ``fvals`` must be ``p.evaluate(x)`` itself, not a recomputation that may
     round differently: the common descent step hands it to Armijo as
-    ``f(x)`` instead of evaluating the objectives again.
+    ``f(x)`` instead of evaluating the objectives again.  Likewise
+    :meth:`gradient` keeps ``p.gradient(x)``'s own output, which the
+    direction subproblems take instead of calling the oracle again.  So an
+    entry belongs to one problem: the one whose oracles made ``fvals`` and
+    are handed to :meth:`gradient`.
     """
 
     x: np.ndarray
     J: SupportSet
     fvals: np.ndarray
+    grads: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).copy()
@@ -85,12 +91,34 @@ class ArchiveEntry:
         object.__setattr__(self, "fvals", f)
         assert self.J.contains_support_of(x), "point leaves its support key"
 
+    def gradient(self, p: MultiObjectiveProblem) -> np.ndarray:
+        """``p.gradient(x)``, evaluated on the first call and kept read-only
+        (a copy of the oracle's output, the same bits) for the later ones."""
+        if self.grads is None:
+            g = np.array(p.gradient(self.x), dtype=float)
+            g.setflags(write=False)
+            object.__setattr__(self, "grads", g)
+        return self.grads
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 class ParetoArchive:
-    """Entries grouped by super support key, mutually nondominated per key."""
+    """Entries grouped by super support key, mutually nondominated per key.
+
+    Next to each key's entry list the archive keeps read-only ``(X, F)``
+    arrays, the entries' points and objective vectors as rows in the same
+    order (:meth:`arrays`).  Every change replaces them with new arrays
+    (a row mask or ``np.delete``, then ``np.concatenate``) instead of
+    writing into them, so :meth:`copy` shares them.
+    """
 
     def __init__(self):
         self._groups: dict = {}
+        self._arrays: dict = {}
 
     @classmethod
     def from_entries(cls, entries) -> "ParetoArchive":
@@ -114,6 +142,10 @@ class ParetoArchive:
     def group(self, J: SupportSet) -> list:
         return list(self._groups.get(J, ()))
 
+    def arrays(self, J: SupportSet) -> tuple:
+        """Key ``J``'s read-only ``(X, F)``: row i is entry i of :meth:`group`."""
+        return self._arrays[J]
+
     def entries(self) -> list:
         out = []
         for J in self.keys():
@@ -130,21 +162,25 @@ class ParetoArchive:
     def copy(self) -> "ParetoArchive":
         dup = ParetoArchive()
         dup._groups = {J: list(g) for J, g in self._groups.items()}
+        dup._arrays = dict(self._arrays)
         return dup
 
     def state(self) -> tuple:
         """Exact byte-level snapshot used for no-change detection."""
-        return tuple(
-            (J.indices, tuple(e.x.tobytes() for e in self._groups[J]))
-            for J in self.keys()
-        )
+        return tuple((J.indices, self._arrays[J][0].tobytes()) for J in self.keys())
 
     def remove(self, entry: ArchiveEntry):
         group = self._groups.get(entry.J, [])
         if entry in group:
-            group.remove(entry)
-            if not group:
+            i = group.index(entry)
+            del group[i]
+            if group:
+                X, F = self._arrays[entry.J]
+                self._arrays[entry.J] = (_frozen(np.delete(X, i, axis=0)),
+                                         _frozen(np.delete(F, i, axis=0)))
+            else:
                 del self._groups[entry.J]
+                del self._arrays[entry.J]
 
     def insert(self, entry: ArchiveEntry, skip_if_dominated: bool = False) -> ArchiveEntry:
         """Evict key mates strictly dominated by ``entry``, then add it.
@@ -156,32 +192,49 @@ class ParetoArchive:
         without it a dominated entry breaks the sweep rule and fails an
         ``assert`` (under ``python -O`` it is dropped).
         """
-        group = self._groups.get(entry.J, [])
-        if group:
-            X = np.array([m.x for m in group])
-            dup = np.flatnonzero(np.max(np.abs(X - entry.x), axis=1) <= DEDUPE_TOL)
-            if dup.size:
-                return group[int(dup[0])]
-            F = np.array([m.fvals for m in group])
-            if dominates(F, entry.fvals).any():
-                assert skip_if_dominated, "inserted a dominated point"
-                return entry
-            kept = [m for m, gone in zip(group, dominates(entry.fvals, F)) if not gone]
-        else:
-            kept = []
-        kept.append(entry)
-        self._groups[entry.J] = kept
+        J = entry.J
+        group = self._groups.get(J)
+        if not group:
+            self._groups[J] = [entry]
+            self._arrays[J] = (entry.x[None, :], entry.fvals[None, :])
+            return entry
+        X, F = self._arrays[J]
+        dup = np.flatnonzero((np.abs(X - entry.x) <= DEDUPE_TOL).all(axis=1))
+        if dup.size:
+            return group[int(dup[0])]
+        if dominates(F, entry.fvals).any():
+            assert skip_if_dominated, "inserted a dominated point"
+            return entry
+        gone = dominates(entry.fvals, F)
+        if gone.any():
+            group[:] = [m for m, g in zip(group, gone.tolist()) if not g]
+            keep = ~gone
+            X, F = X[keep], F[keep]
+        group.append(entry)
+        self._arrays[J] = (_frozen(np.concatenate((X, entry.x[None, :]))),
+                           _frozen(np.concatenate((F, entry.fvals[None, :]))))
         return entry
 
     def check_invariants(self):
-        """Audit per-key mutual nondomination and duplicate-freeness."""
+        """Audit per-key mutual nondomination and duplicate-freeness, and
+        that each key's arrays hold its entries' bytes."""
+        assert self._arrays.keys() == self._groups.keys(), "keys without arrays"
         for J, group in self._groups.items():
             F = np.array([e.fvals for e in group])
             X = np.array([e.x for e in group])
+            Xa, Fa = self._arrays[J]
+            assert (Xa.shape, Fa.shape) == (X.shape, F.shape) and (
+                Xa.tobytes() == X.tobytes() and Fa.tobytes() == F.tobytes()), (
+                f"stale arrays in {J}")
+            # every row against every row, in blocks of rows that keep each
+            # (rows, k, m) comparison near 2^20 cells on large keys
+            step = max(1, (1 << 20) // F.size)
+            for i in range(0, len(group), step):
+                assert not dominates(F[i:i + step, None, :], F[None, :, :]).any(), (
+                    f"dominated pair in {J}")
             for e in group:
-                assert not dominates(F, e.fvals).any(), f"dominated pair in {J}"
                 # every mate lies farther than DEDUPE_TOL; e itself is at 0
-                far = np.max(np.abs(X - e.x), axis=1) > DEDUPE_TOL
+                far = (np.abs(X - e.x) > DEDUPE_TOL).any(axis=1)
                 assert np.count_nonzero(far) == len(group) - 1, f"duplicate in {J}"
 
 
@@ -314,9 +367,9 @@ def _objective_subsets(m: int):
         yield from itertools.combinations(range(m), size)
 
 
-def _explore_allowed(group, entry: ArchiveEntry) -> bool:
-    dist = crowding_distance(np.array([e.fvals for e in group]))
-    d = dist[group.index(entry)]
+def _explore_allowed(work: ParetoArchive, entry: ArchiveEntry) -> bool:
+    dist = crowding_distance(work.arrays(entry.J)[1])
+    d = dist[work.group(entry.J).index(entry)]
     if not np.isfinite(d):
         return True  # boundary points always explored
     # Threshold over the finite distances (the boundary infinities would
@@ -326,9 +379,11 @@ def _explore_allowed(group, entry: ArchiveEntry) -> bool:
     return d > float(np.mean(dist[np.isfinite(dist)])) + 1e-12
 
 
-def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
+def _exploration_step(p, work: ParetoArchive, z_entry: ArchiveEntry, d: np.ndarray,
                       cfg: SolverConfig, spacing: float):
     """Largest alpha0*delta^h step beating every key mate on some objective.
+
+    The key mates are the entries of ``work`` under ``z_entry.J``.
 
     With ``spacing > 0`` a candidate is also rejected when its objective
     vector lands within ``spacing`` of some mate's, measured per objective
@@ -337,12 +392,12 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
     ``(alpha, point, fvals)`` or ``(0.0, None, None)`` when every candidate
     fails (the step is then skipped entirely).
 
-    z is one of the mates, so with a ``p.line`` model the search ends at
+    When z is one of the mates, with a ``p.line`` model the search ends at
     the first step the model proves lands within ``spacing`` of z itself
     (:func:`_spacing_floor`): every smaller step does too.  The result is
     the same as without the model.
     """
-    mate_F = np.array([m.fvals for m in mates])
+    mate_F = work.arrays(z_entry.J)[1]
     if spacing > 0.0 and mate_F.shape[0] > 1:
         scale = mate_F.max(axis=0) - mate_F.min(axis=0)
         scale[scale <= 0.0] = np.inf  # flat objective: no spacing constraint
@@ -354,8 +409,7 @@ def _exploration_step(p, z_entry: ArchiveEntry, d: np.ndarray, mates,
             scale is None or not (np.abs(fc - mate_F) / scale <= spacing).all(axis=1).any())
 
     floor = 0.0
-    # entries compare by identity (eq=False), so ``in`` finds z itself
-    if scale is not None and p.line is not None and z_entry in mates:
+    if scale is not None and p.line is not None and work.contains(z_entry):
         floor = _spacing_floor(p.line(z_entry.x, d), scale.tolist(), spacing)
     return backtrack(p, z_entry.x, d, cfg, accept, (floor, math.inf))
 
@@ -445,7 +499,9 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
 
 def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfig,
                    explore_spacing: float):
-    sol = theta_subspace(p, entry.x, entry.J)
+    # each entry's gradient is evaluated once, for its common step on every
+    # sweep and for its exploration steps
+    sol = theta_subspace(p, entry.x, entry.J, grads=entry.gradient(p))
     alpha = 0.0
     if sol.theta < -THETA_TOL:
         alpha = armijo_common(p, entry.x, sol.d, sol.theta, None, cfg, fx=entry.fvals)
@@ -458,17 +514,15 @@ def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfi
         z_entry = entry
     if not work.contains(z_entry):
         return
-    if not _explore_allowed(work.group(entry.J), z_entry):
+    if not _explore_allowed(work, z_entry):
         return
     for I in _objective_subsets(p.m):
         if not work.contains(z_entry):
             break
-        solI = theta_subspace(p, z_entry.x, entry.J, I)
+        solI = theta_subspace(p, z_entry.x, entry.J, I, grads=z_entry.gradient(p))
         if solI.theta >= -THETA_TOL:
             continue
-        alpha_I, cand, fc = _exploration_step(
-            p, z_entry, solI.d, work.group(entry.J), cfg, explore_spacing
-        )
+        alpha_I, cand, fc = _exploration_step(p, work, z_entry, solI.d, cfg, explore_spacing)
         if alpha_I == 0.0:
             continue
         work.insert(ArchiveEntry(x=cand, J=entry.J, fvals=fc))

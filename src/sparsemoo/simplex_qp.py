@@ -44,22 +44,33 @@ class DirectionSolution:
 # The helpers below use ndarray.dot, the BLAS call ``@`` makes with less
 # dispatch, and keep float64 scalars, which round as Python floats would.
 def _primal_value(G, b, L, d):
-    return (G.T.dot(d) + b).max() + 0.5 * L * d.dot(d)
+    if b is not None:
+        return (G.T.dot(d) + b).max() + 0.5 * L * d.dot(d)
+    # (v + zeros).max() for m <= 2 without the arrays: a NaN wins as in
+    # numpy's max, and + 0.0 turns a -0.0 maximum into +0.0 as the zeros did
+    v = G.T.dot(d).tolist()
+    top = v[0]
+    if len(v) == 2 and not (top >= v[1] or top != top):
+        top = v[1]
+    return (top + 0.0) + 0.5 * L * d.dot(d)
 
 
 def _dual_value(Gl, b, lam, L):
     # q(lam) from the product Gl = G @ lam the direction is built from
-    return Gl.dot(Gl) / (2.0 * L) - b.dot(lam)
+    return Gl.dot(Gl) / (2.0 * L) - (0.0 if b is None else b.dot(lam))
 
 
 def _solve_m2(G, b, L):
-    # 1-D quadratic in t = lambda_1 on [0, 1]; lambda = (t, 1 - t).
+    # 1-D quadratic in t = lambda_1 on [0, 1]; lambda = (t, 1 - t).  b None
+    # is zero offsets: L * (0 - 0) is +0.0 for the finite L > 0 checked.
     g1, g2 = G[:, 0], G[:, 1]
     u = g1 - g2
     uu = u.dot(u)
     g2u = g2.dot(u)
     if uu > 0.0:
-        t = min(1.0, max(0.0, (L * (b[0] - b[1]) - g2u) / uu))
+        t = min(1.0, max(0.0, ((0.0 if b is None else L * (b[0] - b[1])) - g2u) / uu))
+    elif b is None:
+        t = 0.5
     elif b[0] > b[1]:
         t = 1.0
     elif b[0] < b[1]:
@@ -129,7 +140,11 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
         coordinates (``k`` may be 0 when every coordinate is fixed).
     b : (m,) array, optional
         Affine offsets from the fixed coordinates; defaults to zero.  A
-        given ``b`` is checked for shape and finiteness.
+        given ``b`` is checked for shape and finiteness.  With ``None`` and
+        m <= 2 no zero array is built or added: the closed form and the
+        value drop the zero terms, which changes no bit (the value's
+        ``+ 0.0`` still turns a -0.0 into +0.0).  The all-zero ``G`` case
+        and m >= 3 use an explicit zero ``b``.
     L : float
         Curvature of the quadratic term, strictly positive.
 
@@ -149,9 +164,7 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
     if G.ndim != 2:
         raise ValueError("G must be a (k, m) matrix of gradient columns")
     m = G.shape[1]
-    if b is None:
-        b = np.zeros(m)  # finite by construction: only G and L are scanned
-    else:
+    if b is not None:
         b = np.asarray(b, dtype=float)
         if b.shape != (m,):
             raise ValueError(f"b must have shape ({m},), got {b.shape}")
@@ -165,6 +178,8 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
         raise ValueError("non-finite inputs to the direction subproblem")
     if L <= 0:
         raise ValueError(f"curvature L must be positive, got {L}")
+    if b is None and (top_G == 0.0 or m > 2):
+        b = np.zeros(m)  # finite by construction: only G and L are scanned
 
     if top_G == 0.0:
         # Degenerate all-zero gradients: d = 0 and q(lam) = -b^T lam, so the
@@ -190,5 +205,6 @@ def solve_simplex_qp(G: np.ndarray, b: np.ndarray | None = None, L: float = 1.0)
         # that scale passes too (its scale is computed only when needed).
         gap = theta + _dual_value(Gl, b, lam, L)
         assert gap <= 1e-7 * max(1.0, abs(theta)) or gap <= _TOL * (
-            np.abs(G.T @ G).max() / L + np.abs(b).max()), f"duality gap {gap}"
+            np.abs(G.T @ G).max() / L + (0.0 if b is None else np.abs(b).max())), (
+            f"duality gap {gap}")
     return DirectionSolution(d=d, lam=lam, theta=theta)

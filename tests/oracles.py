@@ -14,7 +14,8 @@ import numbers
 import numpy as np
 
 from sparsemoo import MultiObjectiveProblem, SupportSet, logistic_problem, project_sparse, support
-from sparsemoo.core import DataError, check_point, l0_norm
+from sparsemoo.core import DataError, check_point, dominates, l0_norm
+from sparsemoo.sfsd import DEDUPE_TOL
 from sparsemoo.simplex_qp import DirectionSolution, _solve_active_set
 from sparsemoo.solvers import MAX_HALVINGS
 
@@ -266,6 +267,14 @@ def reference_logistic(R, t):
                                  lipschitz=logistic_problem(R, t).lipschitz)
 
 
+def reference_logistic_slope(R, t, w, d):
+    """The loss slope of the logistic ``line`` model in ``@`` form."""
+    from scipy.special import expit
+
+    R, t = np.asarray(R, dtype=float), np.asarray(t, dtype=float)
+    return float(-((t * expit(-(t * (R @ w)))) @ (R @ d)) / R.shape[0])
+
+
 def reference_penalized(p, y, tau):
     """``f_j(x) + (tau/2)||x - y||^2`` in ``@`` / ``float()`` form."""
     y = np.asarray(y, dtype=float)
@@ -457,3 +466,57 @@ def reference_check_number(name, value, low, high=math.inf, *, integer=False, op
         raise DataError(f"{name} must be {'an integer' if integer else 'a finite number'} "
                         f"{bounds}, got {value!r}")
     return value
+
+
+class ReferenceArchive:
+    """The per-key archive as entry lists only, rebuilding each key's point
+    and objective arrays on every insert: the rule
+    :class:`sparsemoo.sfsd.ParetoArchive` keeps with its stored arrays."""
+
+    def __init__(self):
+        self._groups: dict = {}
+
+    def keys(self):
+        return sorted(self._groups)
+
+    def group(self, J) -> list:
+        return list(self._groups.get(J, ()))
+
+    def entries(self) -> list:
+        return [e for J in self.keys() for e in self._groups[J]]
+
+    def __len__(self) -> int:
+        return sum(len(g) for g in self._groups.values())
+
+    def contains(self, entry) -> bool:
+        return entry in self._groups.get(entry.J, ())
+
+    def copy(self) -> "ReferenceArchive":
+        dup = ReferenceArchive()
+        dup._groups = {J: list(g) for J, g in self._groups.items()}
+        return dup
+
+    def remove(self, entry):
+        group = self._groups.get(entry.J, [])
+        if entry in group:
+            group.remove(entry)
+            if not group:
+                del self._groups[entry.J]
+
+    def insert(self, entry, skip_if_dominated: bool = False):
+        group = self._groups.get(entry.J, [])
+        if group:
+            X = np.array([m.x for m in group])
+            dup = np.flatnonzero(np.max(np.abs(X - entry.x), axis=1) <= DEDUPE_TOL)
+            if dup.size:
+                return group[int(dup[0])]
+            F = np.array([m.fvals for m in group])
+            if dominates(F, entry.fvals).any():
+                assert skip_if_dominated, "inserted a dominated point"
+                return entry
+            kept = [m for m, gone in zip(group, dominates(entry.fvals, F)) if not gone]
+        else:
+            kept = []
+        kept.append(entry)
+        self._groups[entry.J] = kept
+        return entry

@@ -8,8 +8,12 @@ in ``oracles.py`` to the last bit: on seeded random cases with n from 2 to
 60, points stored contiguously and strided, and m = 1, 2 and 3 objectives.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemoo import (
     SupportSet,
@@ -34,6 +38,7 @@ from oracles import (
     reference_assign_super_support,
     reference_example,
     reference_logistic,
+    reference_logistic_slope,
     reference_mosd,
     reference_penalized,
     reference_quadratic,
@@ -113,6 +118,33 @@ class TestOracles:
                 assert same(lib.evaluate(w), ref.evaluate(w))
                 assert same(lib.gradient(w), ref.gradient(w))
 
+    def test_logistic_interleaved(self):
+        # evaluate, gradient and line share the products at their point: calls
+        # interleaved across points, layouts and a point changed in place
+        # between calls must each return the reference's bytes
+        rng = np.random.default_rng(12)
+        count = 0
+        for n in (2, 5, 17, 60):
+            N = int(rng.integers(10, 200))
+            R, t = rng.normal(size=(N, n)), np.where(rng.random(N) > 0.5, 1.0, -1.0)
+            lib, ref = logistic_problem(R, t), reference_logistic(R, t)
+            points = layouts(rng, n) + layouts(rng, n)
+            for _ in range(60):
+                w = points[int(rng.integers(len(points)))]
+                if rng.random() < 0.3:
+                    w[int(rng.integers(n))] += rng.normal()  # in place: same object
+                call = rng.integers(3)
+                if call == 0:
+                    assert same(lib.evaluate(w), ref.evaluate(w))
+                elif call == 1:
+                    assert same(lib.gradient(w), ref.gradient(w))
+                else:
+                    d = rng.normal(size=n)
+                    slope = lib.line(w, d)[0][0]
+                    assert same(slope, reference_logistic_slope(R, t, w, d))
+                count += 1
+        assert count == 240
+
     def test_penalized(self):
         rng = np.random.default_rng(3)
         for n in SIZES:
@@ -149,6 +181,34 @@ class TestSimplexQp:
         assert count == 216
 
 
+# QP columns: entries with both zeros, columns equal, opposite or zero
+QP_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, -7.25])
+
+
+class TestZeroOffsets:
+    @settings(max_examples=400, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), k=st.integers(1, 6),
+           cells=st.lists(QP_VALUES, min_size=18, max_size=18),
+           shape=st.sampled_from(["free", "equal", "opposite", "zero_column", "zero"]),
+           L=st.sampled_from([1.0, 0.3, 7.5]))
+    def test_none_is_zero_offsets(self, m, k, cells, shape, L):
+        # b=None skips the zero array for m <= 2; the bytes stay those of an
+        # explicit zero b and of the reference
+        G = np.array(cells[:k * m]).reshape(m, k).T.copy()
+        if shape == "equal" and m > 1:
+            G[:, 1] = G[:, 0]
+        elif shape == "opposite" and m > 1:
+            G[:, 1] = -G[:, 0]
+        elif shape == "zero_column":
+            G[:, m - 1] = 0.0
+        elif shape == "zero":
+            G[:] = 0.0
+        for A in (G, np.ascontiguousarray(G.T).T):
+            a = solve_simplex_qp(A, None, L)
+            for b in (solve_simplex_qp(A, np.zeros(m), L), reference_solve_simplex_qp(A, None, L)):
+                assert same(a.d, b.d) and same(a.lam, b.lam) and same(a.theta, b.theta)
+
+
 class TestDirections:
     def test_theta_subspace(self):
         rng = np.random.default_rng(5)
@@ -162,6 +222,27 @@ class TestDirections:
                     a, b = theta_subspace(lib, x, J, I), reference_theta_subspace(ref, x, J, I)
                     assert same(a.d, b.d) and same(a.lam, b.lam) and same(a.theta, b.theta)
                     count += 1
+        assert count > 500
+
+    def test_theta_subspace_given_gradients(self):
+        # grads=p.gradient(x) gives the bytes of the call that evaluates them,
+        # on a random key and on every coordinate, for every objective subset
+        rng = np.random.default_rng(13)
+        count = 0
+        for lib, _ in problem_pairs(rng, sizes=(2, 5, 17, 33)):
+            n, m = lib.n, lib.m
+            subsets = [None] + [I for k in range(1, m + 1)
+                                for I in itertools.combinations(range(m), k)]
+            for x in layouts(rng, n):
+                grads = lib.gradient(x)
+                for J in (SupportSet.from_iterable(
+                        rng.choice(n, int(rng.integers(1, n + 1)), replace=False), n),
+                          SupportSet(tuple(range(n)), n)):
+                    for I in subsets:
+                        a = theta_subspace(lib, x, J, I)
+                        b = theta_subspace(lib, x, J, I, grads=grads)
+                        assert same(a.d, b.d) and same(a.lam, b.lam) and same(a.theta, b.theta)
+                        count += 1
         assert count > 500
 
     def test_support_scores(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemoo import (
     MultiObjectiveProblem,
@@ -15,12 +17,21 @@ from sparsemoo import (
     theta_subspace,
 )
 from sparsemoo import sfsd
-from sparsemoo.sfsd import ArchiveEntry, ParetoArchive, assign_super_support
+from sparsemoo.sfsd import DEDUPE_TOL, ArchiveEntry, ParetoArchive, assign_super_support
+
+from oracles import ReferenceArchive
 
 
 def entry(p, x, J):
     x = np.asarray(x, dtype=float)
     return ArchiveEntry(x=x, J=J, fvals=p.evaluate(x))
+
+
+def plant(arch, J, group):
+    """Set key ``J`` of ``arch`` to ``group`` as it stands, checks bypassed:
+    the entry list and the ``(X, F)`` arrays built from it."""
+    arch._groups[J] = list(group)
+    arch._arrays[J] = (np.array([e.x for e in group]), np.array([e.fvals for e in group]))
 
 
 def twin_objective_problem(a, n):
@@ -179,13 +190,128 @@ class TestArchive:
         p = example_problem
         J = SupportSet((0,), 2)
         arch = ParetoArchive()
-        arch._groups[J] = [entry(p, [1.5, 0.0], J), entry(p, [2.5, 0.0], J)]
+        plant(arch, J, [entry(p, [1.5, 0.0], J), entry(p, [2.5, 0.0], J)])
         arch.check_invariants()  # a nondominated, duplicate-free group passes
-        arch._groups[J] = [entry(p, [1.5, 0.0], J), entry(p, [0.5, 0.0], J)]
+        plant(arch, J, [entry(p, [1.5, 0.0], J), entry(p, [0.5, 0.0], J)])
         with pytest.raises(AssertionError, match="dominated pair"):
             arch.check_invariants()
-        arch._groups[J] = [entry(p, [1.5, 0.0], J), entry(p, [1.5, 0.0], J)]
+        plant(arch, J, [entry(p, [1.5, 0.0], J), entry(p, [1.5, 0.0], J)])
         with pytest.raises(AssertionError, match="duplicate"):
+            arch.check_invariants()
+
+    def test_audit_flags_dominated_pair_in_a_large_key(self):
+        # 1,000 rows: the pairwise test runs in blocks of rows, and a pair
+        # with its dominating row in the last block is still found
+        J = SupportSet((0,), 2)
+        k = 1000
+        group = [ArchiveEntry(x=np.array([float(i), 0.0]), J=J,
+                              fvals=np.array([i / k, 1.0 - i / k])) for i in range(k)]
+        arch = ParetoArchive()
+        plant(arch, J, group)
+        arch.check_invariants()
+        better = ArchiveEntry(x=np.array([-1.0, 0.0]), J=J, fvals=group[3].fvals - 1e-3)
+        plant(arch, J, group + [better])
+        with pytest.raises(AssertionError, match="dominated pair"):
+            arch.check_invariants()
+
+    def test_audit_flags_stale_arrays(self, example_problem):
+        p = example_problem
+        J = SupportSet((0,), 2)
+        a, b = entry(p, [1.5, 0.0], J), entry(p, [2.5, 0.0], J)
+        arch = ParetoArchive()
+        plant(arch, J, [a, b])
+        arch._groups[J] = [b, a]  # same rows, other order
+        with pytest.raises(AssertionError, match="stale arrays"):
+            arch.check_invariants()
+        plant(arch, J, [a])
+        arch._groups[J] = [a, b]  # a row the arrays lack
+        with pytest.raises(AssertionError, match="stale arrays"):
+            arch.check_invariants()
+        plant(arch, J, [a])
+        arch._groups[SupportSet((1,), 2)] = [entry(p, [0.0, 0.5], SupportSet((1,), 2))]
+        with pytest.raises(AssertionError, match="keys without arrays"):
+            arch.check_invariants()
+
+
+# one archive operation: (kind, pick, skip_if_dominated, how a new entry relates
+# to a present one)
+ARCHIVE_OPS = st.lists(
+    st.tuples(st.sampled_from(["insert"] * 4 + ["remove", "copy"]), st.integers(0, 1 << 20),
+              st.booleans(), st.sampled_from(["fresh", "dup", "dominated", "dominating", "tie"])),
+    min_size=1, max_size=40)
+ARCHIVE_KEYS = (SupportSet((0, 1), 3), SupportSet((1, 2), 3))
+
+
+def planted_entry(rng, m, kind, present):
+    """A new entry: fresh, within DEDUPE_TOL of a present one, dominated by
+    one, dominating one, or with one's objective vector on another point."""
+    J = ARCHIVE_KEYS[int(rng.integers(2))]
+    if kind == "fresh" or not present:
+        base = None
+    else:
+        base = present[int(rng.integers(len(present)))]
+        J = base.J
+    cols = list(J.indices)
+    x = np.zeros(3)
+    x[cols] = rng.uniform(-1.0, 1.0, len(cols))
+    f = rng.uniform(0.0, 1.0, m)
+    if kind == "dup" and base is not None:
+        x = base.x.copy()
+        x[cols] += rng.uniform(-0.5, 0.5, len(cols)) * DEDUPE_TOL
+    elif kind == "dominated" and base is not None:
+        f = base.fvals + rng.uniform(0.0, 0.1, m) * (rng.random(m) < 0.7)
+    elif kind == "dominating" and base is not None:
+        f = base.fvals - rng.uniform(0.0, 0.1, m) * (rng.random(m) < 0.7)
+    elif kind == "tie" and base is not None:
+        f = base.fvals.copy()
+    return ArchiveEntry(x=x, J=J, fvals=f)
+
+
+def assert_same_archive(arch, ref):
+    assert arch.keys() == ref.keys() and len(arch) == len(ref)
+    assert all(a is b for a, b in zip(arch.entries(), ref.entries(), strict=True))
+    for J in ref.keys():
+        group = ref.group(J)
+        assert all(a is b for a, b in zip(arch.group(J), group, strict=True))
+        X, F = arch.arrays(J)
+        assert X.shape == (len(group), 3) and F.shape == (len(group), group[0].fvals.size)
+        assert X.tobytes() == np.array([e.x for e in group]).tobytes()
+        assert F.tobytes() == np.array([e.fvals for e in group]).tobytes()
+        assert not X.flags.writeable and not F.flags.writeable
+
+
+class TestArchiveArrays:
+    """The array-backed archive against the list-only reference archive."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.sampled_from([2, 3]), ops=ARCHIVE_OPS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_list_archive(self, m, ops, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(ParetoArchive(), ReferenceArchive())]
+        for kind, pick, skip, relation in ops:
+            arch, ref = pairs[-1]
+            if kind == "copy":
+                pairs.append((arch.copy(), ref.copy()))
+                continue
+            present = ref.entries()
+            if kind == "remove":
+                e = (present[pick % len(present)] if present and pick % 4
+                     else planted_entry(rng, m, "fresh", present))  # or a non-member
+                arch.remove(e)
+                ref.remove(e)
+            else:
+                e = planted_entry(rng, m, relation, present)
+                try:
+                    want = ref.insert(e, skip_if_dominated=skip)
+                except AssertionError:
+                    # the sweep rule's guard: both refuse, and neither changes
+                    with pytest.raises(AssertionError, match="inserted a dominated point"):
+                        arch.insert(e, skip_if_dominated=skip)
+                else:
+                    assert arch.insert(e, skip_if_dominated=skip) is want
+            assert_same_archive(arch, ref)
+        for arch, ref in pairs:  # a copy's changes never reach its source
+            assert_same_archive(arch, ref)
             arch.check_invariants()
 
 
