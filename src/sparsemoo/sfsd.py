@@ -165,10 +165,6 @@ class ParetoArchive:
         dup._arrays = dict(self._arrays)
         return dup
 
-    def state(self) -> tuple:
-        """Exact byte-level snapshot used for no-change detection."""
-        return tuple((J.indices, self._arrays[J][0].tobytes()) for J in self.keys())
-
     def remove(self, entry: ArchiveEntry):
         group = self._groups.get(entry.J, [])
         if entry in group:
@@ -451,8 +447,10 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
              deadline: float | None = None) -> ParetoArchive:
     """Phase two: front steepest descent over per-support archives.
 
-    Runs up to ``budget`` sweeps.  Per entry still present in the working
-    archive: a common descent step in its subspace (Armijo on the
+    A key is swept until a sweep leaves its points' bytes unchanged; the
+    sweeps stop when no key is left, after ``budget`` of them or past
+    ``deadline`` (``time.monotonic()``).  Per entry still present in the
+    working archive: a common descent step in its subspace (Armijo on the
     ``theta_subspace`` direction when the measure is negative), insertion of
     the new point with eviction of strictly dominated key mates; then, for
     each proper objective subset with a negative partial measure and while
@@ -464,8 +462,7 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     ``explore_spacing`` keeps exploration from tiling the front at ever
     finer resolution: candidates landing within that relative distance of
     an existing mate (per objective, scaled by the key's objective ranges)
-    are rejected, so the archive saturates and the no-change detection can
-    stop early.  0 restores the literal acceptance rule.
+    are rejected, so the archive saturates.  0 restores the literal acceptance rule.
 
     After the sweeps a refinement pass drives every surviving entry to
     subspace stationarity within ``FINAL_EPS`` (1e-4) and re-filters each
@@ -478,23 +475,25 @@ def sfsd_run(p: MultiObjectiveProblem, archive0: ParetoArchive, s: int,
     check_number("budget", budget, 0, integer=True)
     check_number("explore_spacing", explore_spacing, 0)
     work = archive0.copy()
-    prev = work.state()
+    active = work.keys()  # keys never interact: a sweep changing nothing ends its key
     for _ in range(budget):
-        if deadline is not None and time.monotonic() > deadline:
+        if not active or deadline is not None and time.monotonic() > deadline:
             break
-        for entry in work.entries():
-            if not work.contains(entry):
-                continue  # evicted earlier in this sweep
-            _process_entry(p, work, entry, cfg, explore_spacing)
-        cur = work.state()
-        if cur == prev:
-            break
-        prev = cur
+        active = [J for J in active if _sweep_key(p, work, J, cfg, explore_spacing)]
     _refine_archive(p, work, cfg)
     if __debug__:
         work.check_invariants()
         assert all(is_feasible(e.x, s) for e in work.entries())
     return work
+
+
+def _sweep_key(p, work: ParetoArchive, J, cfg: SolverConfig, explore_spacing: float) -> bool:
+    """Sweep key ``J``'s entries still present, in order; True if its points' bytes changed."""
+    before = work.arrays(J)[0].tobytes()  # rows of J.n floats: equal bytes, equal shape
+    for entry in work.group(J):
+        if work.contains(entry):  # else evicted earlier in this sweep
+            _process_entry(p, work, entry, cfg, explore_spacing)
+    return work.arrays(J)[0].tobytes() != before
 
 
 def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfig,
@@ -532,7 +531,7 @@ def _refine_archive(p, work: ParetoArchive, cfg: SolverConfig):
     for entry in work.entries():
         if not work.contains(entry):
             continue
-        x_new = mosd(p, entry.x, entry.J, FINAL_EPS, cfg, entry.fvals)
+        x_new = mosd(p, entry.x, entry.J, FINAL_EPS, cfg, entry.fvals, grads=entry.grads)
         if x_new.tobytes() == entry.x.tobytes():
             continue  # already stationary, or no step passes Armijo
         work.remove(entry)

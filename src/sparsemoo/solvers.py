@@ -264,7 +264,8 @@ def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
 
 
 def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
-         cfg: SolverConfig, fx: np.ndarray | None = None) -> np.ndarray:
+         cfg: SolverConfig, fx: np.ndarray | None = None, *,
+         grads: np.ndarray | None = None) -> np.ndarray:
     """Steepest common descent restricted to the index set ``J``.
 
     Iterates Armijo steps along the ``theta_subspace`` direction until the
@@ -274,7 +275,8 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
     :func:`armijo_step`; ``None`` leaves it to the first line search.  After
     that each search starts from the values of the step it accepted last, so
     the objectives are evaluated at most once at ``x0`` plus once per trial
-    step.  A start it cannot move from comes back as an unchanged copy.
+    step.  ``grads`` is ``p.gradient(x0)`` likewise, for the first search
+    direction.  A start it cannot move from comes back as an unchanged copy.
     """
     x0 = np.asarray(x0, dtype=float)
     J = as_support(J, p.n)
@@ -282,13 +284,13 @@ def mosd(p: MultiObjectiveProblem, x0: np.ndarray, J, eps: float,
         raise ValueError("start point has nonzeros outside the fixed support")
     x = x0.copy()
     for _ in range(cfg.max_iter):
-        sol = theta_subspace(p, x, J)
+        sol = theta_subspace(p, x, J, grads=grads)
         if sol.theta > -eps:
             break
         alpha, x_new, f_new = armijo_step(p, x, sol.d, sol.theta, cfg, fx)
         if alpha == 0.0:
             break  # line search stalled; cannot certify further progress
-        x, fx = x_new, f_new
+        x, fx, grads = x_new, f_new, None
     return x
 
 

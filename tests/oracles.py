@@ -13,7 +13,8 @@ import numbers
 
 import numpy as np
 
-from sparsemoo import MultiObjectiveProblem, SupportSet, logistic_problem, project_sparse, support
+from sparsemoo import (MultiObjectiveProblem, SupportSet, logistic_problem, project_sparse, sfsd,
+                       support)
 from sparsemoo.core import DataError, check_point, dominates, l0_norm
 from sparsemoo.sfsd import DEDUPE_TOL
 from sparsemoo.simplex_qp import DirectionSolution, _solve_active_set
@@ -520,3 +521,30 @@ class ReferenceArchive:
         kept.append(entry)
         self._groups[entry.J] = kept
         return entry
+
+
+def archive_bytes(archive):
+    """Every key with the shape and bytes of its ``(X, F)`` arrays, keys in
+    order: equal for two archives exactly when they hold the same points and
+    objective vectors, entry for entry, in the same order."""
+    return tuple((J.indices, X.shape, X.tobytes(), F.tobytes())
+                 for J in archive.keys() for X, F in [archive.arrays(J)])
+
+
+def reference_sfsd_run(p, archive0, s, cfg, budget, *, explore_spacing):
+    """Phase two as one interleaved loop: each sweep visits every entry of
+    every key, key after key, and the sweeps stop at the first one that
+    leaves the whole archive's bytes unchanged (or after ``budget``); then
+    the library's closing refinement."""
+    work = archive0.copy()
+    prev = archive_bytes(work)
+    for _ in range(budget):
+        for entry in work.entries():
+            if work.contains(entry):
+                sfsd._process_entry(p, work, entry, cfg, explore_spacing)
+        cur = archive_bytes(work)
+        if cur == prev:
+            break
+        prev = cur
+    sfsd._refine_archive(p, work, cfg)
+    return work

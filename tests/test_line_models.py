@@ -34,6 +34,8 @@ from sparsemoo.problems import QuadraticInstance
 from sparsemoo.sfsd import assign_super_support
 from sparsemoo.solvers import MAX_HALVINGS, _penalized
 
+from oracles import archive_bytes
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 HEADROOM = 1e3
 
@@ -168,10 +170,6 @@ def front(p, s, strategy, cfg, seed=0, box=(-2.0, 2.0), n_starts=3, budget=3,
     return sfsd_run(p, archive, s, cfg, budget, explore_spacing=spacing)
 
 
-def front_bytes(archive):
-    return archive.state(), tuple(e.fvals.tobytes() for e in archive.entries())
-
-
 class TestWholeFronts:
     @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("s", [2, 5, 8])
@@ -179,7 +177,8 @@ class TestWholeFronts:
     def test_quadratic(self, kappa, s, strategy):
         p = generate_quadratic(10, kappa, 11).problem()
         cfg = default_config(p, max_iter=3000)
-        assert front_bytes(front(p, s, strategy, cfg)) == front_bytes(front(plain(p), s, strategy, cfg))
+        want = archive_bytes(front(plain(p), s, strategy, cfg))
+        assert archive_bytes(front(p, s, strategy, cfg)) == want
 
     def test_worked_example(self):
         p = example_biobjective()
@@ -188,7 +187,7 @@ class TestWholeFronts:
             got = front(p, 1, strategy, cfg, box=(0.0, 3.0), n_starts=4, budget=5, spacing=5e-3)
             want = front(plain(p), 1, strategy, cfg, box=(0.0, 3.0), n_starts=4, budget=5,
                          spacing=5e-3)
-            assert front_bytes(got) == front_bytes(want)
+            assert archive_bytes(got) == archive_bytes(want)
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_bundled_datasets(self, name):
@@ -197,7 +196,7 @@ class TestWholeFronts:
         got = front(p, 3, "mohyb", cfg, box=(0.0, 1.0), n_starts=1, budget=3, spacing=5e-3)
         want = front(plain(p), 3, "mohyb", cfg, box=(0.0, 1.0), n_starts=1, budget=3,
                      spacing=5e-3)
-        assert front_bytes(got) == front_bytes(want)
+        assert archive_bytes(got) == archive_bytes(want)
 
 
 def same(u, v) -> bool:

@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from sparsemoo import (
 from sparsemoo import sfsd
 from sparsemoo.sfsd import DEDUPE_TOL, ArchiveEntry, ParetoArchive, assign_super_support
 
-from oracles import ReferenceArchive
+from oracles import ReferenceArchive, archive_bytes
 
 
 def entry(p, x, J):
@@ -32,6 +35,44 @@ def plant(arch, J, group):
     the entry list and the ``(X, F)`` arrays built from it."""
     arch._groups[J] = list(group)
     arch._arrays[J] = (np.array([e.x for e in group]), np.array([e.fvals for e in group]))
+
+
+def two_target_problem(a, b):
+    """f1 = 0.5 ||x - a||^2, f2 = 0.5 ||x - b||^2."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+    def ev(x):
+        return np.array([0.5 * (x - a).dot(x - a), 0.5 * (x - b).dot(x - b)])
+
+    def grad(x):
+        return np.array([x - a, x - b])
+
+    return MultiObjectiveProblem(n=a.size, m=2, evaluate=ev, gradient=grad,
+                                 lipschitz=np.ones(2))
+
+
+def settled_and_moving_keys():
+    """Two targets that agree on the first coordinate and not on the second:
+    key (0,) holds the point both minimize, stationary from the start; key
+    (1,) holds one end of a segment of the front, which sweeps fill in."""
+    p = two_target_problem([1.5, 3.0, 0.0], [1.5, 1.0, 0.0])
+    still, moving = SupportSet((0,), 3), SupportSet((1,), 3)
+    arch = ParetoArchive.from_entries([entry(p, [1.5, 0.0, 0.0], still),
+                                       entry(p, [0.0, 3.0, 0.0], moving)])
+    return p, arch, still, moving
+
+
+def count_visits(monkeypatch):
+    """Count ``_process_entry`` calls per support key."""
+    visits = {}
+    process = sfsd._process_entry
+
+    def counted(p, work, e, *args):
+        visits[e.J] = visits.get(e.J, 0) + 1
+        return process(p, work, e, *args)
+
+    monkeypatch.setattr(sfsd, "_process_entry", counted)
+    return visits
 
 
 def twin_objective_problem(a, n):
@@ -148,15 +189,6 @@ class TestArchive:
         good = entry(p, [1.0, 0.0], J)
         arch = ParetoArchive.from_entries([dominated, good])
         assert [e is good for e in arch.group(J)] == [True]
-
-    def test_state_snapshot_detects_change(self, example_problem):
-        p = example_problem
-        arch = ParetoArchive()
-        arch.insert(entry(p, [2.0, 0.0], SupportSet((0,), 2)))
-        s0 = arch.state()
-        assert arch.state() == s0
-        arch.insert(entry(p, [2.5, 0.0], SupportSet((0,), 2)))
-        assert arch.state() != s0
 
     def test_membership_and_removal_by_identity(self, example_problem):
         J = SupportSet((0,), 2)
@@ -321,7 +353,7 @@ class TestInitialize:
                   cfg=SolverConfig(L=1.01))
         a = initialize(example_problem, 1, **kw)
         b = initialize(example_problem, 1, **kw)
-        assert a.state() == b.state()  # byte-identical archives
+        assert archive_bytes(a) == archive_bytes(b)  # byte-identical archives
 
     def test_entries_are_assigned_and_feasible(self, example_problem):
         arch = initialize(example_problem, 1, "mohyb", 6, 0, (-2.0, 2.0),
@@ -400,7 +432,7 @@ class TestSfsdRun:
         J = SupportSet((0,), 3)
         arch = ParetoArchive.from_entries([entry(p, [1.5, 0.0, 0.0], J)])
         out = sfsd_run(p, arch, 1, SolverConfig(L=1.1), budget=5)
-        assert out.state() == arch.state()
+        assert archive_bytes(out) == archive_bytes(arch)
 
     def test_outputs_feasible_and_on_keys(self, quadratic_factory):
         p = quadratic_factory(n=6, kappa=10.0, seed=7)
@@ -435,13 +467,78 @@ class TestSfsdRun:
         assert not out.contains(moving)
         assert theta_subspace(p, out.group(J0)[0].x, J0).theta > -1e-4
 
+    def test_sweep_key_detects_change(self):
+        # _sweep_key reports whether its sweep changed the key's points; a key
+        # it reports unchanged stays unchanged on the next sweep too
+        p, arch, still, moving = settled_and_moving_keys()
+        cfg = SolverConfig(L=1.1)
+        before = archive_bytes(arch)
+        assert not sfsd._sweep_key(p, arch, still, cfg, 0.02)
+        assert archive_bytes(arch) == before
+        for _ in range(20):
+            before = archive_bytes(arch)
+            if not sfsd._sweep_key(p, arch, moving, cfg, 0.02):
+                break
+            assert archive_bytes(arch) != before
+        else:
+            pytest.fail("the moving key did not settle in 20 sweeps")
+        assert archive_bytes(arch) == before and len(arch.group(moving)) > 10
+        assert not sfsd._sweep_key(p, arch, moving, cfg, 0.02)
+        assert archive_bytes(arch) == before
+
+    def test_settled_key_is_swept_once(self, monkeypatch):
+        # the stationary key's first sweep changes nothing, so it is not
+        # swept again, while the other key is swept on every sweep
+        p, arch, still, moving = settled_and_moving_keys()
+        visits = count_visits(monkeypatch)
+        out = sfsd_run(p, arch, 1, SolverConfig(L=1.1), budget=6)
+        assert visits[still] == 1
+        assert visits[moving] > 6 and len(out.group(moving)) > 10
+        assert out.group(still) == arch.group(still)
+
+    def test_past_deadline_runs_no_sweep(self, example_problem, monkeypatch):
+        p = example_problem
+        arch = ParetoArchive.from_entries([entry(p, [0.2, 0.0], SupportSet((0,), 2)),
+                                           entry(p, [0.0, 1.0], SupportSet((1,), 2))])
+        cfg = SolverConfig(L=1.01)
+        visits = count_visits(monkeypatch)
+        out = sfsd_run(p, arch, 1, cfg, budget=5, deadline=time.monotonic() - 1.0)
+        assert visits == {}
+        assert archive_bytes(out) == archive_bytes(sfsd_run(p, arch, 1, cfg, budget=0))
+        # without the deadline the same run sweeps and moves
+        assert archive_bytes(sfsd_run(p, arch, 1, cfg, budget=5)) != archive_bytes(out)
+
+    def test_refinement_reuses_cached_gradients(self, quadratic_factory, monkeypatch):
+        # the closing refinement hands mosd the gradients an entry holds: no
+        # gradient call at such a start, and the same front as when mosd
+        # evaluates them itself
+        base = quadratic_factory(n=6, kappa=10.0, seed=7)
+        calls = []
+        p = replace(base, gradient=lambda x: calls.append(x.tobytes()) or base.gradient(x))
+        cfg = SolverConfig(L=11.0)
+        arch = initialize(p, 3, "moiht", 6, 1, (-2.0, 2.0), cfg)
+        mosd, held = sfsd.mosd, []
+
+        def recorded(p, x0, J, eps, cfg, fx=None, *, grads=None):
+            before = len(calls)
+            out = mosd(p, x0, J, eps, cfg, fx, grads=grads)
+            if grads is not None:
+                held.append((x0.tobytes(), calls[before:]))
+            return out
+
+        monkeypatch.setattr(sfsd, "mosd", recorded)
+        lean = archive_bytes(sfsd_run(p, arch, 3, cfg, budget=3))
+        assert len(held) > 3 and all(x0 not in made for x0, made in held)
+        monkeypatch.setattr(sfsd, "mosd", lambda *args, grads=None: mosd(*args))
+        assert archive_bytes(sfsd_run(p, arch, 3, cfg, budget=3)) == lean
+
     def test_budget_zero_only_refines(self, example_problem):
         p = example_problem
         arch = ParetoArchive.from_entries([
             entry(p, [2.0, 0.0], SupportSet((0,), 2)),
         ])
         out = sfsd_run(p, arch, 1, SolverConfig(L=1.01), budget=0)
-        assert out.state() == arch.state()
+        assert archive_bytes(out) == archive_bytes(arch)
 
     def test_monotone_common_steps_recorded(self, quadratic_factory):
         # objective vectors along common-descent insertions never increase:

@@ -260,6 +260,18 @@ class TestMosd:
             assert given.tobytes() == out.tobytes()
             assert lean[0] == x0.tobytes() and seen == lean[1:]
 
+    def test_given_grads_spare_the_start_gradient(self):
+        for p, x0, J in random_descent_cases(24, count=3):
+            cfg = replace(default_config(p), max_iter=300)
+            seen = []
+            rp = replace(p, gradient=lambda x: seen.append(x.tobytes()) or p.gradient(x))
+            out = mosd(rp, x0, J, 1e-7, cfg)
+            lean = list(seen)
+            seen.clear()
+            given = mosd(rp, x0, J, 1e-7, cfg, grads=p.gradient(x0))
+            assert given.tobytes() == out.tobytes()
+            assert lean[0] == x0.tobytes() and seen == lean[1:]
+
     def test_stationary_start_unchanged(self, example_problem):
         cfg = SolverConfig(L=1.0)
         x = mosd(example_problem, np.array([2.0, 0.0]), SupportSet((0,), 2), 1e-7, cfg)
