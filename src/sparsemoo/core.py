@@ -146,10 +146,6 @@ class SupportSet:
         """The indices as a read-only ``intp`` array, built once per set."""
         return self._index_array
 
-    def complement(self) -> tuple:
-        inside = set(self.indices)
-        return tuple(i for i in range(self.n) if i not in inside)
-
     def contains_support_of(self, x: np.ndarray) -> bool:
         """True iff every index of :func:`support` ``(x)`` is in the set."""
         outside = _nonzero(x).ravel()

@@ -101,24 +101,22 @@ class ArchiveEntry:
         return self.grads
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+# The record of a key the archive does not hold.
+_NO_RECORD = ((), None, None)
 
 
 class ParetoArchive:
     """Entries grouped by super support key, mutually nondominated per key.
 
-    Next to each key's entry list the archive keeps read-only ``(X, F)``
-    arrays, the entries' points and objective vectors as rows in the same
-    order (:meth:`arrays`).  Every change replaces them with new arrays
-    (a row mask or ``np.delete``, then ``np.concatenate``) instead of
-    writing into them, so :meth:`copy` shares them.
+    Each key holds one immutable record ``(entries, X, F)``: its entries as
+    a tuple and, as read-only arrays, their points and objective vectors as
+    rows in the same order (:meth:`arrays`).  Every change replaces the
+    key's whole record (:meth:`_set`) instead of writing into it, so
+    :meth:`copy` shares the records and :meth:`group` hands out a snapshot.
     """
 
     def __init__(self):
-        self._groups: dict = {}
-        self._arrays: dict = {}
+        self._keys: dict = {}
 
     @classmethod
     def from_entries(cls, entries) -> "ParetoArchive":
@@ -137,46 +135,50 @@ class ParetoArchive:
         return archive
 
     def keys(self):
-        return sorted(self._groups)
+        return sorted(self._keys)
 
-    def group(self, J: SupportSet) -> list:
-        return list(self._groups.get(J, ()))
+    def group(self, J: SupportSet) -> tuple:
+        """Key ``J``'s entries in insertion order; later changes leave it as it is."""
+        return self._keys.get(J, _NO_RECORD)[0]
 
     def arrays(self, J: SupportSet) -> tuple:
         """Key ``J``'s read-only ``(X, F)``: row i is entry i of :meth:`group`."""
-        return self._arrays[J]
+        return self._keys[J][1:]
 
     def entries(self) -> list:
         out = []
         for J in self.keys():
-            out.extend(self._groups[J])
+            out.extend(self._keys[J][0])
         return out
 
     def __len__(self) -> int:
-        return sum(len(g) for g in self._groups.values())
+        return sum(len(r[0]) for r in self._keys.values())
 
     def contains(self, entry: ArchiveEntry) -> bool:
         # entries compare by identity (eq=False), so ``in`` is an identity scan
-        return entry in self._groups.get(entry.J, ())
+        return entry in self._keys.get(entry.J, _NO_RECORD)[0]
 
     def copy(self) -> "ParetoArchive":
         dup = ParetoArchive()
-        dup._groups = {J: list(g) for J, g in self._groups.items()}
-        dup._arrays = dict(self._arrays)
+        dup._keys = dict(self._keys)
         return dup
 
+    def _set(self, J: SupportSet, group: tuple, X: np.ndarray, F: np.ndarray):
+        """Make ``(group, X, F)`` key ``J``'s record, read-only; an empty group drops ``J``."""
+        if group:
+            X.setflags(write=False)
+            F.setflags(write=False)
+            self._keys[J] = (group, X, F)
+        else:
+            del self._keys[J]
+
     def remove(self, entry: ArchiveEntry):
-        group = self._groups.get(entry.J, [])
+        group = self.group(entry.J)
         if entry in group:
             i = group.index(entry)
-            del group[i]
-            if group:
-                X, F = self._arrays[entry.J]
-                self._arrays[entry.J] = (_frozen(np.delete(X, i, axis=0)),
-                                         _frozen(np.delete(F, i, axis=0)))
-            else:
-                del self._groups[entry.J]
-                del self._arrays[entry.J]
+            X, F = self.arrays(entry.J)
+            self._set(entry.J, group[:i] + group[i + 1:],
+                      np.delete(X, i, axis=0), np.delete(F, i, axis=0))
 
     def insert(self, entry: ArchiveEntry, skip_if_dominated: bool = False) -> ArchiveEntry:
         """Evict key mates strictly dominated by ``entry``, then add it.
@@ -189,12 +191,11 @@ class ParetoArchive:
         ``assert`` (under ``python -O`` it is dropped).
         """
         J = entry.J
-        group = self._groups.get(J)
-        if not group:
-            self._groups[J] = [entry]
-            self._arrays[J] = (entry.x[None, :], entry.fvals[None, :])
+        record = self._keys.get(J)
+        if record is None:
+            self._set(J, (entry,), entry.x[None, :], entry.fvals[None, :])
             return entry
-        X, F = self._arrays[J]
+        group, X, F = record
         dup = np.flatnonzero((np.abs(X - entry.x) <= DEDUPE_TOL).all(axis=1))
         if dup.size:
             return group[int(dup[0])]
@@ -203,22 +204,19 @@ class ParetoArchive:
             return entry
         gone = dominates(entry.fvals, F)
         if gone.any():
-            group[:] = [m for m, g in zip(group, gone.tolist()) if not g]
             keep = ~gone
+            group = tuple(itertools.compress(group, keep.tolist()))
             X, F = X[keep], F[keep]
-        group.append(entry)
-        self._arrays[J] = (_frozen(np.concatenate((X, entry.x[None, :]))),
-                           _frozen(np.concatenate((F, entry.fvals[None, :]))))
+        self._set(J, group + (entry,), np.concatenate((X, entry.x[None, :])),
+                  np.concatenate((F, entry.fvals[None, :])))
         return entry
 
     def check_invariants(self):
         """Audit per-key mutual nondomination and duplicate-freeness, and
         that each key's arrays hold its entries' bytes."""
-        assert self._arrays.keys() == self._groups.keys(), "keys without arrays"
-        for J, group in self._groups.items():
+        for J, (group, Xa, Fa) in self._keys.items():
             F = np.array([e.fvals for e in group])
             X = np.array([e.x for e in group])
-            Xa, Fa = self._arrays[J]
             assert (Xa.shape, Fa.shape) == (X.shape, F.shape) and (
                 Xa.tobytes() == X.tobytes() and Fa.tobytes() == F.tobytes()), (
                 f"stale arrays in {J}")
@@ -297,13 +295,15 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
     ``strategy='scalarized'`` instead runs the deterministic trade-off grid
     of ``2n`` weights from the zero start; ``n_starts``/``seed``/``box``
     are ignored for it (it is in :data:`SEED_INDEPENDENT`) and its counts
-    are ``None``.
+    are ``None``.  ``n_starts`` must be an integer ``>= 1`` and ``seed``
+    one ``>= 0`` for every strategy.
 
     With ``deadline`` (a ``time.monotonic()`` stamp) no new start is
     processed past the deadline; results are otherwise deterministic.
     """
     s = check_budget(s, p.n)
     check_number("n_starts", n_starts, 1, integer=True)
+    check_number("seed", seed, 0, integer=True)
     if strategy in SEED_INDEPENDENT:
         points = scalarized_iht(p, s, default_lambda_grid(p.n), cfg)
         return points, [None] * len(points)

@@ -151,8 +151,9 @@ def mc_hypervolume(front, ref_point, n_samples=10_000_000, seed=0, chunk=1_000_0
         k = min(chunk, n_samples - done)
         pts = lo + (r - lo) * rng.random((k, 2))
         dominated = np.zeros(k, dtype=bool)
-        for row in F:
-            dominated |= np.all(pts >= row, axis=1)
+        x, y = pts[:, 0], pts[:, 1]
+        for a, b in F:
+            dominated |= (x >= a) & (y >= b)
         hits += int(dominated.sum())
         done += k
     frac = hits / n_samples
@@ -400,12 +401,12 @@ def reference_best_support(grads, x, L, s, fixed):
 
 def reference_theta_L(p, x, s, L):
     """:func:`theta_L` by :func:`reference_best_support`, the pinned move
-    built through ``complement()``, and the reference QP."""
+    built over the indices outside the best support, and the reference QP."""
     x = np.asarray(x, dtype=float)
     grads = np.asarray(p.gradient(x), dtype=float)
     best_K = reference_best_support(grads, x, L, s, [])
     cols = np.array(best_K.indices, dtype=np.intp)
-    comp = list(best_K.complement())
+    comp = [i for i in range(p.n) if i not in best_K.indices]
     d = np.zeros(p.n)
     d[comp] = -x[comp]
     b = grads @ d + 0.5 * L * float(d @ d)

@@ -202,19 +202,25 @@ class TestFront:
                             lambda *a, **k: ParetoArchive())
         assert run("front", "--instance", ex4, "--out", tmp_path / "f.csv") == 2
 
-    @pytest.mark.parametrize("flag, value", [
+    # (flag, value, more arguments): the id is all of them joined by "-"
+    OUT_OF_RANGE = [
         ("--budget", -3),
         ("--explore-spacing", -1),
         ("--wallclock", "nan"),
         ("--wallclock", -1),
         ("--explore-spacing", "inf"),
         ("--tau0", "nan"),
-    ])
-    def test_out_of_range_flag_exits_1(self, ex4, tmp_path, capsys, flag, value):
+        ("--seed", -1),
+        ("--seed", -1, "--strategy", "scalarized"),  # a seed it ignores is still checked
+    ]
+
+    @pytest.mark.parametrize("flag, value, more", [(f, v, more) for f, v, *more in OUT_OF_RANGE],
+                             ids=["-".join(map(str, case)) for case in OUT_OF_RANGE])
+    def test_out_of_range_flag_exits_1(self, ex4, tmp_path, capsys, flag, value, more):
         out = tmp_path / "front.csv"
         # --budget 1 keeps the run short should a bad value be accepted
         assert run("front", "--instance", ex4, "--n-starts", 2, "--budget", 1,
-                   flag, value, "--out", out) == 1
+                   flag, value, *more, "--out", out) == 1
         assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err.replace("-", "_")
         assert not out.exists()
 

@@ -190,7 +190,6 @@ class TestSupportSet:
             S.indices = (1,)
         assert SupportSet((0, 1), 4) < SupportSet((0, 2), 4) < SupportSet((1, 2), 4)
         assert S.to_1based() == (1, 3)
-        assert S.complement() == (1, 3)
 
     def test_hashable_key(self):
         d = {SupportSet((0, 1), 3): "a"}
@@ -322,6 +321,7 @@ GUARDED = [
     ("manifest 'instances[0].kappa'", False,
      lambda v: _load_manifest(instances=[{"n": 4, "kappa": v, "s": 2}])),
     ("q.json: 'type'", False, lambda v: _entry(type=v)),
+    ("seed", True, lambda v: solve_starts(_P, 1, "scalarized", 1, v, (-2.0, 2.0), _CFG)),
 ]
 
 

@@ -32,9 +32,9 @@ def entry(p, x, J):
 
 def plant(arch, J, group):
     """Set key ``J`` of ``arch`` to ``group`` as it stands, checks bypassed:
-    the entry list and the ``(X, F)`` arrays built from it."""
-    arch._groups[J] = list(group)
-    arch._arrays[J] = (np.array([e.x for e in group]), np.array([e.fvals for e in group]))
+    one record of the entries and the ``(X, F)`` arrays built from them."""
+    arch._keys[J] = (tuple(group), np.array([e.x for e in group]),
+                     np.array([e.fvals for e in group]))
 
 
 def two_target_problem(a, b):
@@ -214,9 +214,9 @@ class TestArchive:
         worse = entry(p, [0.5, 0.0], J)  # dominated by its key mate
         with pytest.raises(AssertionError, match="inserted a dominated point"):
             arch.insert(worse)
-        assert arch.group(J) == [better]
+        assert arch.group(J) == (better,)
         assert arch.insert(worse, skip_if_dominated=True) is worse
-        assert arch.group(J) == [better]
+        assert arch.group(J) == (better,)
 
     def test_audit_flags_dominated_pair_and_duplicate(self, example_problem):
         p = example_problem
@@ -252,16 +252,12 @@ class TestArchive:
         a, b = entry(p, [1.5, 0.0], J), entry(p, [2.5, 0.0], J)
         arch = ParetoArchive()
         plant(arch, J, [a, b])
-        arch._groups[J] = [b, a]  # same rows, other order
+        arch._keys[J] = ((b, a), *arch.arrays(J))  # same rows, other order
         with pytest.raises(AssertionError, match="stale arrays"):
             arch.check_invariants()
         plant(arch, J, [a])
-        arch._groups[J] = [a, b]  # a row the arrays lack
+        arch._keys[J] = ((a, b), *arch.arrays(J))  # a row the arrays lack
         with pytest.raises(AssertionError, match="stale arrays"):
-            arch.check_invariants()
-        plant(arch, J, [a])
-        arch._groups[SupportSet((1,), 2)] = [entry(p, [0.0, 0.5], SupportSet((1,), 2))]
-        with pytest.raises(AssertionError, match="keys without arrays"):
             arch.check_invariants()
 
 
@@ -326,6 +322,10 @@ class TestArchiveArrays:
                 pairs.append((arch.copy(), ref.copy()))
                 continue
             present = ref.entries()
+            # what group() and arrays() hand out is a snapshot that the
+            # next operation leaves as it is
+            handed = [(arch.group(J), *arch.arrays(J)) for J in arch.keys()]
+            seen = [(list(g), X.tobytes(), F.tobytes()) for g, X, F in handed]
             if kind == "remove":
                 e = (present[pick % len(present)] if present and pick % 4
                      else planted_entry(rng, m, "fresh", present))  # or a non-member
@@ -342,6 +342,8 @@ class TestArchiveArrays:
                 else:
                     assert arch.insert(e, skip_if_dominated=skip) is want
             assert_same_archive(arch, ref)
+            assert all(type(g) is tuple for g, _, _ in handed)
+            assert [(list(g), X.tobytes(), F.tobytes()) for g, X, F in handed] == seen
         for arch, ref in pairs:  # a copy's changes never reach its source
             assert_same_archive(arch, ref)
             arch.check_invariants()
