@@ -241,6 +241,9 @@ def cmd_generate(args) -> int:
         except ValueError:
             raise ValueError(
                 f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+        _check_unique(seeds, lambda i, j: (
+            f"--seeds repeats {seeds[i]} (positions {i + 1} and {j + 1}); "
+            "each seed names its instance files"))
         entries = [{"n": n, "kappa": kappa, "s": s, "seed": seed}
                    for n, s_choices in BENCHMARK_GRID.items() for kappa in BENCHMARK_KAPPAS
                    for s in s_choices for seed in seeds]
@@ -476,11 +479,13 @@ def _load_manifest(path):
         if "path" in instances[i] and not file.is_file():
             raise DataError(f"{source} 'instances[{i}].path' names no file: {file}")
     strategies = manifest.setdefault("strategies", ["mohyb"])
-    if not isinstance(strategies, list) or any(st not in STRATEGIES for st in strategies):
-        raise DataError(f"{source} 'strategies' must be a list drawn from {list(STRATEGIES)}")
+    if (not isinstance(strategies, list) or not strategies
+            or any(st not in STRATEGIES for st in strategies)):
+        raise DataError(
+            f"{source} 'strategies' must be a non-empty list drawn from {list(STRATEGIES)}")
     run_seeds = manifest.setdefault("run_seeds", [0])
-    if not isinstance(run_seeds, list):
-        raise DataError(f"{source} 'run_seeds' must be a list of integers")
+    if not isinstance(run_seeds, list) or not run_seeds:
+        raise DataError(f"{source} 'run_seeds' must be a non-empty list of integers")
     for r, run_seed in enumerate(run_seeds):
         check_number(f"{source} 'run_seeds[{r}]'", run_seed, 0, integer=True)
     for key, values in (("strategies", strategies), ("run_seeds", run_seeds)):

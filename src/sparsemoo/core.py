@@ -3,6 +3,9 @@
 Everything downstream works on a feasible set of the form
 ``{x in R^n : ||x||_0 <= s}`` (vectors with at most ``s`` nonzero entries),
 here always called ``Omega``; :func:`check_point` validates a point of it.
+Every enumeration of size-s supports streams from :func:`superset_blocks`,
+which also holds the cap ``MAX_SUPPORTS``: the super support sets of
+:func:`super_supports` and the searches of ``theta_L`` and ``theta_feasible``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ ZERO_TOL = 1e-12
 
 # Cap on enumerated supports or super support sets; beyond it CapacityError.
 MAX_SUPPORTS = 2_000_000
+
+# Rows per block of superset_blocks: bounds what one streamed enumeration
+# holds in memory at once.
+_CHUNK = 131_072
 
 # Default stationarity tolerance: a measure above -STATIONARITY_EPS counts
 # as stationary (SolverConfig.eps and the is_*_stationary tests).
@@ -270,6 +277,30 @@ def project_sparse(x: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
+def superset_blocks(fixed, free, k: int):
+    """Every sorted support ``fixed ∪ E``, E a size-k subset of ``free``, in
+    lexicographic order, as C-ordered ``intp`` blocks of at most ``_CHUNK`` rows.
+
+    ``fixed`` and ``free`` are disjoint sorted index arrays.  Adding the same
+    coordinates to every row keeps the lexicographic order of the rows, so no
+    final sort is needed.  For k = 0 the one support is ``fixed`` itself.
+    Raises :class:`CapacityError`, before the first block, when there are
+    more than ``MAX_SUPPORTS`` supports.
+    """
+    fixed = np.asarray(fixed, dtype=np.intp)
+    total = math.comb(len(free), k)
+    if total > MAX_SUPPORTS:
+        raise CapacityError(f"{total} supports exceed the cap {MAX_SUPPORTS}; reduce n or s")
+    combos = itertools.chain.from_iterable(itertools.combinations(np.asarray(free).tolist(), k))
+    for start in range(0, total, _CHUNK):
+        rows = min(_CHUNK, total - start)
+        E = np.fromiter(combos, dtype=np.intp, count=rows * k).reshape(rows, k)
+        if fixed.size:  # C order: directions._scores rounds a Fortran-ordered gather differently
+            E = np.ascontiguousarray(np.sort(np.concatenate(
+                [np.broadcast_to(fixed, (rows, fixed.size)), E], axis=1), axis=1))
+        yield E
+
+
 def super_supports(x: np.ndarray, s: int) -> list:
     """All super support sets at ``x``: index sets ``J`` with supp(x) ⊆ J, |J| = s.
 
@@ -278,19 +309,8 @@ def super_supports(x: np.ndarray, s: int) -> list:
     :class:`CapacityError` when there are more than ``MAX_SUPPORTS``.
     """
     x, s = check_point(x, s, np.size(x))
-    n = x.size
-    base = support(x)
-    k = base.size
-    count = math.comb(n - k, s - k)
-    if count > MAX_SUPPORTS:
-        raise CapacityError(
-            f"{count} super support sets exceed the cap {MAX_SUPPORTS}; reduce n or s"
-        )
-    base_set = set(int(i) for i in base)
-    free = [i for i in range(n) if i not in base_set]
-    sets = [
-        SupportSet(tuple(sorted(base_set.union(extra))), n)
-        for extra in itertools.combinations(free, s - k)
-    ]
-    sets.sort()
-    return sets
+    inside = _nonzero(x)
+    fixed = np.flatnonzero(inside)
+    return [SupportSet._from_sorted(row, x.size)
+            for block in superset_blocks(fixed, np.flatnonzero(~inside), s - fixed.size)
+            for row in block]

@@ -21,7 +21,8 @@ first tries to prove one the unique minimizer with one simplex-QP solve
 consecutive MOIHT iterates mostly keep.  When it cannot, past
 :func:`_screen_min` candidates the same bound (:func:`_screen`) fixes
 coordinates in or out of every minimizer.  Then the supports left are
-scored (at most ``MAX_SUPPORTS``), in the same order and by the same
+streamed from :func:`sparsemoo.core.superset_blocks` (which caps them at
+``MAX_SUPPORTS``) and scored, in the same order and by the same
 arithmetic.  The three proofs (hard thresholding,
 certificate, screen) clear one rounding margin, :func:`_margin`.  In every
 case the result is bit-identical to scoring every support.
@@ -37,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MAX_SUPPORTS,
     STATIONARITY_EPS,
-    CapacityError,
     SupportSet,
     as_support,
     check_number,
     check_point,
     is_feasible,
+    superset_blocks,
     support,
 )
 from .simplex_qp import DirectionSolution, solve_simplex_qp
@@ -52,11 +52,6 @@ from .simplex_qp import DirectionSolution, solve_simplex_qp
 # The empty index set: theta_L's search fixes no coordinate.
 _NO_INDICES = np.empty(0, dtype=np.intp)
 _NO_INDICES.setflags(write=False)
-
-# Enumerations up to _CACHE_LIMIT rows are built once and cached; larger ones
-# stream in blocks of _CHUNK rows.
-_CHUNK = 131_072
-_CACHE_LIMIT = 100_000
 
 
 def _screen_min(m: int) -> int:
@@ -84,33 +79,6 @@ class SparseDirectionSolution:
     support: SupportSet
     theta: float
     lam: np.ndarray
-
-
-def _index_rows(combos, count: int, k: int) -> np.ndarray:
-    """The next ``count`` k-subsets from ``combos`` as a (count, k) array."""
-    flat = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp, count=count * k)
-    return flat.reshape(count, k)
-
-
-@functools.lru_cache(maxsize=64)
-def _all_supports(n: int, k: int) -> np.ndarray:
-    arr = _index_rows(itertools.combinations(range(n), k), math.comb(n, k), k)
-    arr.setflags(write=False)
-    return arr
-
-
-def _support_chunks(n: int, k: int):
-    """Every size-k subset of range(n), lexicographic, as (N, k) row blocks.
-
-    For k = 0 the single empty subset is one row of width zero.
-    """
-    total = math.comb(n, k)
-    if total <= _CACHE_LIMIT:
-        yield _all_supports(n, k)
-        return
-    combos = itertools.combinations(range(n), k)
-    for start in range(0, total, _CHUNK):
-        yield _index_rows(combos, min(_CHUNK, total - start), k)
 
 
 def _scores(grads, x, L, K) -> np.ndarray:
@@ -166,19 +134,6 @@ def _lambda_grid(m: int) -> np.ndarray:
     return grid
 
 
-def _with_fixed(fixed, rows) -> np.ndarray:
-    """The sorted supports ``fixed ∪ rows[i]`` for a block of sorted rows.
-
-    Adding the same coordinates to every row keeps the lexicographic order
-    of the block.  The rows are C-ordered like the enumerated blocks, since
-    :func:`_scores` rounds a Fortran-ordered gather differently.
-    """
-    if not fixed.size:
-        return rows
-    return np.ascontiguousarray(np.sort(np.concatenate(
-        [np.broadcast_to(fixed, (rows.shape[0], fixed.size)), rows], axis=1), axis=1))
-
-
 def _margin(grads, x, L, value) -> float:
     """The rounding margin a bound must clear above ``value`` to decide:
     ``1e-9 (A.|x| + L x.x + A.A / L + |value|)`` with ``A_i = max_j |grad_ji|``,
@@ -216,8 +171,8 @@ def _screen(grads, x, L, fixed, free, k):
     lb_in = np.where(top_k, S - T[:, [k]], S - Rf - T[:, [k - 1]]).max(axis=0)
     lb_out = np.where(top_k, S - T[:, [k + 1]] + Rf, S - T[:, [k]]).max(axis=0)
 
-    E = np.argpartition(-Rf, k - 1, axis=1)[:, :k]
-    top = _with_fixed(fixed, np.sort(free[E], axis=1))
+    E = free[np.argpartition(-Rf, k - 1, axis=1)[:, :k]]
+    top = np.sort(np.concatenate([np.broadcast_to(fixed, (E.shape[0], fixed.size)), E], axis=1))
     top = np.array(sorted(set(map(tuple, top.tolist()))), dtype=np.intp)
     U = float(np.min(_scores(grads, x, L, top)))
     tol = _margin(grads, x, L, U)
@@ -345,14 +300,8 @@ def _best_support(grads, x, L, s, fixed):
             return certified
         if total > _screen_min(grads.shape[0]):
             fixed, free, k = _screen(grads, x, L, fixed, free, k)
-            total = math.comb(free.size, k)
-    if total > MAX_SUPPORTS:
-        raise CapacityError(f"scoring {total} supports exceeds the cap {MAX_SUPPORTS}; "
-                            "reduce n or s")
     best_theta, best_K = np.inf, None
-    for E in _support_chunks(free.size, k):
-        # with nothing fixed, free is range(n) and the rows are the supports
-        K = E if free.size == n else _with_fixed(fixed, free[E])
+    for K in superset_blocks(fixed, free, k):
         thetas = _scores(grads, x, L, K)
         i = int(np.argmin(thetas))
         if thetas[i] < best_theta:

@@ -13,8 +13,8 @@ import numbers
 
 import numpy as np
 
-from sparsemoo import (MultiObjectiveProblem, SupportSet, logistic_problem, project_sparse, sfsd,
-                       support)
+from sparsemoo import (MultiObjectiveProblem, SupportSet, core, logistic_problem, project_sparse,
+                       sfsd, support)
 from sparsemoo.core import DataError, check_point, dominates, l0_norm
 from sparsemoo.sfsd import DEDUPE_TOL
 from sparsemoo.simplex_qp import DirectionSolution, _solve_active_set
@@ -397,6 +397,23 @@ def reference_best_support(grads, x, L, s, fixed):
                                axis=1), axis=1)
     thetas = reference_scores(grads, x, L, K)
     return SupportSet(tuple(int(v) for v in K[int(np.argmin(thetas))]), n)
+
+
+def reference_super_supports(x, s):
+    """:func:`super_supports` as first written: supp(x) completed by every
+    ``itertools.combinations`` of the other indices, with its own cap and a
+    final sort."""
+    x, s = check_point(x, s, np.size(x))
+    n = x.size
+    base = set(int(i) for i in support(x))
+    free = [i for i in range(n) if i not in base]
+    count = math.comb(len(free), s - len(base))
+    if count > core.MAX_SUPPORTS:
+        raise core.CapacityError(f"{count} super support sets exceed the cap")
+    sets = [SupportSet(tuple(sorted(base.union(extra))), n)
+            for extra in itertools.combinations(free, s - len(base))]
+    sets.sort()
+    return sets
 
 
 def reference_theta_L(p, x, s, L):

@@ -323,6 +323,12 @@ class TestInputFiles:
         assert "--seeds must be comma-separated integers, got '1,x'" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_repeated_grid_seeds_named(self, tmp_path, capsys):
+        out_dir = tmp_path / "grid"
+        assert run("generate", "--benchmark-grid", "--out-dir", out_dir, "--seeds", "0,1,0") == 1
+        assert "--seeds repeats 0 (positions 1 and 3)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_nonfinite_dataset_cell(self, tmp_path, capsys, recwarn):
         data, out = tmp_path / "d.csv", tmp_path / "f.csv"
         data.write_text("a,b,y\n1,2,0\n3,inf,1\n2,5,1\n4,1,0\n")
@@ -717,6 +723,10 @@ class TestReproduce:
          "'strategies[0]' and 'strategies[2]' are both 'moiht'"),
         ({"instances": [{"type": "example4", "s": 1}], "run_seeds": [0, 0]},
          "'run_seeds[0]' and 'run_seeds[1]' are both 0"),
+        ({"instances": [{"type": "example4", "s": 1}], "strategies": []},
+         "'strategies' must be a non-empty list"),
+        ({"instances": [{"type": "example4", "s": 1}], "run_seeds": []},
+         "'run_seeds' must be a non-empty list"),
     ])
     def test_invalid_manifest_rejected(self, tmp_path, capsys, manifest, field):
         out_dir = tmp_path / "out"

@@ -32,12 +32,12 @@ from sparsemoo import (
     theta_feasible,
     theta_L,
 )
-from sparsemoo import cli
-from sparsemoo.core import check_number
+from sparsemoo import cli, core
+from sparsemoo.core import check_number, superset_blocks
 from sparsemoo.problems import check_instance_entry
 from sparsemoo.sfsd import solve_starts
 
-from oracles import nondominated_indices, reference_check_number
+from oracles import nondominated_indices, reference_check_number, reference_super_supports
 
 # Small integer fronts: few values per objective, so ties, duplicates and
 # dominated rows are all common.
@@ -173,6 +173,59 @@ class TestSuperSupports:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             super_supports(np.zeros(30), 15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_matches_reference(self, case):
+        n, s, mask = case
+        x = np.where(mask, np.arange(1.0, n + 1.0), 0.0)
+        x = project_sparse(x, s) if np.count_nonzero(x) > s else x
+        assert super_supports(x, s) == reference_super_supports(x, s)
+
+    def test_cap_is_the_reference_cap(self, monkeypatch):
+        # the origin has C(6, 3) = 20 super support sets at s = 3
+        monkeypatch.setattr(core, "MAX_SUPPORTS", 20)
+        assert super_supports(np.zeros(6), 3) == reference_super_supports(np.zeros(6), 3)
+        monkeypatch.setattr(core, "MAX_SUPPORTS", 19)
+        for build in (super_supports, reference_super_supports):
+            with pytest.raises(CapacityError):
+                build(np.zeros(6), 3)
+
+
+@st.composite
+def superset_cases(draw):
+    """Disjoint sorted ``fixed`` and ``free`` over range(n), and a k <= |free|."""
+    n = draw(st.integers(0, 10))
+    order = draw(st.permutations(range(n)))
+    n_fixed = draw(st.integers(0, n))
+    n_free = draw(st.integers(0, n - n_fixed))
+    fixed, free = sorted(order[:n_fixed]), sorted(order[n_fixed:n_fixed + n_free])
+    return fixed, free, draw(st.integers(0, n_free))
+
+
+class TestSupersetBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(superset_cases(), st.sampled_from([1, 3, core._CHUNK]))
+    def test_rows_match_itertools(self, case, chunk):
+        fixed, free, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK", chunk)
+            blocks = list(superset_blocks(np.array(fixed, dtype=np.intp),
+                                          np.array(free, dtype=np.intp), k))
+        want = sorted(tuple(sorted(fixed + list(E))) for E in itertools.combinations(free, k))
+        assert [tuple(row) for block in blocks for row in block.tolist()] == want
+        assert [block.shape[0] for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].shape[0] <= chunk
+        for block in blocks:
+            assert block.dtype == np.intp and block.flags.c_contiguous
+            assert block.shape[1] == len(fixed) + k
+
+    def test_cap_before_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SUPPORTS", 9)
+        assert len(next(superset_blocks([0], np.arange(1, 10), 1))) == 9
+        with pytest.raises(CapacityError, match="10 supports exceed the cap 9"):
+            next(superset_blocks([], np.arange(10), 1))
 
 
 class TestSupportSet:

@@ -28,7 +28,8 @@ from sparsemoo import (
     theta_L,
     theta_subspace,
 )
-from sparsemoo.directions import _all_supports, _scores
+from sparsemoo.core import superset_blocks
+from sparsemoo.directions import _scores
 from sparsemoo.sfsd import assign_super_support
 from sparsemoo.solvers import _penalized, armijo_step
 
@@ -254,7 +255,7 @@ class TestDirections:
             for k in sorted({1, min(n - 1, 3), n // 2 if n <= 10 else 2}):
                 if lib.m == 3 and n > 10:
                     continue  # one simplex-QP solve per row
-                K = _all_supports(n, k)
+                K = np.concatenate(list(superset_blocks([], np.arange(n), k)))
                 for x in layouts(rng, n)[:2] + [np.zeros(n)]:
                     grads = np.asarray(lib.gradient(x), dtype=float)
                     L = 1.1 * float(lib.lipschitz.max())

@@ -2,12 +2,13 @@
 
 Each fast path of ``initialize`` + ``sfsd_run`` claims to leave every bit of
 the front unchanged; each has a unit test against its reference, and this
-test holds them to it together.  Random small quadratics, and logistic
-regressions on row and column subsets of a bundled dataset, run once as
-they are and once with a drawn set of fast paths switched off through
-``monkeypatch``, and the two archives must match byte for byte: keys,
-points, objective vectors and entry order.  A new fast path adds its switch
-to :data:`SWITCHES`.
+test holds them to it together.  Random small quadratics, quadratics with
+identity Hessians whose linear terms lie one or two ulps apart (so that
+support scores tie or nearly tie), and logistic regressions on row and
+column subsets of a bundled dataset, run once as they are and once with a
+drawn set of fast paths switched off through ``monkeypatch``, and the two
+archives must match byte for byte: keys, points, objective vectors and
+entry order.  A new fast path adds its switch to :data:`SWITCHES`.
 """
 
 import warnings
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemoo import default_config, directions, generate_quadratic, initialize, problems, sfsd
+from sparsemoo import (core, default_config, directions, generate_quadratic, initialize, problems,
+                       sfsd)
 from sparsemoo.problems import QuadraticInstance, load_dataset
 from sparsemoo.sfsd import STRATEGIES
 
@@ -39,6 +41,7 @@ def without_line_model(mp):
 
 # How to switch each fast path off, on a MonkeyPatch.
 SWITCHES = {
+    "chunk": lambda mp: mp.setattr(core, "_CHUNK", 3),
     "certify": lambda mp: mp.setattr(directions, "_certify", lambda *args: None),
     "hard_threshold": lambda mp: mp.setattr(directions, "_hard_threshold", lambda *args: None),
     "screen": lambda mp: mp.setattr(directions, "_screen_min", lambda m: 10**12),
@@ -48,12 +51,24 @@ SWITCHES = {
 
 
 @st.composite
-def fronts(draw):
-    if draw(st.booleans()):
+def fronts(draw, families=("quadratic", "logistic")):
+    family = draw(st.sampled_from(families))
+    if family == "quadratic":
         n = draw(st.integers(4, 8))
         case = dict(family="quadratic", box=(-2.0, 2.0),
                     inst=generate_quadratic(n, draw(st.sampled_from([1.0, 10.0, 100.0, 1000.0])),
                                             draw(st.integers(0, 2**16))))
+    elif family == "near_ties":
+        # Q1 = Q2 = I; linear terms from one value, the next two floats
+        # above it and their negatives
+        n = draw(st.integers(4, 8))
+        base = draw(st.sampled_from([0.3, 0.5, 1.0, 1.7]))
+        values = [base, np.nextafter(base, 2.0), np.nextafter(np.nextafter(base, 2.0), 2.0)]
+        values += [-v for v in values]
+        c1, c2 = np.random.default_rng(draw(st.integers(0, 2**16))).choice(values, (2, n))
+        case = dict(family="quadratic", box=(-2.0, 2.0),
+                    inst=QuadraticInstance(Q1=np.eye(n), Q2=np.eye(n), c1=c1, c2=c2,
+                                           kappa=1.0, seed=0))
     else:
         R, t = SCREEN_A
         cols = draw(st.lists(st.integers(0, R.shape[1] - 1), min_size=4, max_size=8,
@@ -83,9 +98,24 @@ def front_bytes(case):
                                        explore_spacing=case["spacing"]))
 
 
+SWITCH_SETS = st.sets(st.sampled_from(sorted(SWITCHES)), min_size=1)
+
+
 @settings(max_examples=120, deadline=None)
-@given(fronts(), st.sets(st.sampled_from(sorted(SWITCHES)), min_size=1))
+@given(fronts(), SWITCH_SETS)
 def test_fast_paths_leave_the_front_unchanged(case, off):
+    assert_switches_keep(case, off)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fronts(families=("near_ties",)), SWITCH_SETS)
+def test_fast_paths_leave_near_tie_fronts_unchanged(case, off):
+    # the rounding margin of hard thresholding, the certificate and the screen
+    # must decline where the s-th and (s+1)-th scores are ulps apart
+    assert_switches_keep(case, off)
+
+
+def assert_switches_keep(case, off):
     want = front_bytes(case)
     # a function-scoped monkeypatch fixture would outlive the examples
     with pytest.MonkeyPatch.context() as mp:

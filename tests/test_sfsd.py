@@ -16,7 +16,9 @@ from sparsemoo import (
     generate_quadratic,
     initialize,
     is_feasible,
+    project_sparse,
     sfsd_run,
+    super_supports,
     theta_subspace,
 )
 from sparsemoo import sfsd
@@ -150,6 +152,21 @@ class TestAssignSuperSupport:
     def test_infeasible_rejected(self, example_problem):
         with pytest.raises(ValueError, match="nonzeros is infeasible"):
             assign_super_support(example_problem, np.array([1.0, 1.0]), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.integers(0, n - 1), st.integers(0, 2**16),
+        st.booleans())))
+    def test_first_super_support_of_its_point(self, case):
+        # a zero gradient leaves the start stationary, so its support is completed
+        n, s, nonzeros, seed, flat = case
+        p = generate_quadratic(n, 10.0, seed).problem()
+        if flat:
+            p = replace(p, gradient=lambda x: np.zeros((2, n)))
+        start = np.random.default_rng(seed).normal(size=n)
+        start = project_sparse(start, min(nonzeros, s)) if nonzeros else np.zeros(n)
+        x, J = assign_super_support(p, start, s)
+        assert J == super_supports(x, s)[0]
 
 
 class TestArchive:
