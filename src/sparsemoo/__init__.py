@@ -19,7 +19,6 @@ from .core import (
     support,
 )
 from .directions import (
-    SparseDirectionSolution,
     is_L_stationary,
     is_pareto_stationary,
     theta_L,
@@ -82,7 +81,6 @@ __all__ = [
     "QuadraticInstance",
     "SolverConfig",
     "SolverTrace",
-    "SparseDirectionSolution",
     "SupportSet",
     "ZERO_TOL",
     "armijo_common",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -388,9 +389,14 @@ def _read_metrics_csv(path):
     rows = []
     for line, row in table:
         try:  # plain float: an empty front scores inf in the spreads
-            rows.append((row[solver], [float(row[j]) for j in metrics]))
+            values = [float(row[j]) for j in metrics]
         except ValueError as exc:
             raise DataError(f"{path}:{line}: {exc}") from None
+        for j, value in zip(metrics, values):
+            if math.isnan(value):
+                raise DataError(f"{path}:{line}: cell {row[j]!r} in column {header[j]!r} "
+                                "is not a number")
+        rows.append((row[solver], values))
     _check_unique([solver for solver, _ in rows], lambda i, j: (
         f"{path}:{table[j][0]}: solver {rows[j][0]!r} repeats line {table[i][0]}; "
         "solver names must be unique"))

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,21 +63,6 @@ def _screen_min(m: int) -> int:
     each support costs one simplex-QP solve, so the screen always pays.
     """
     return 2_000 if m <= 2 else 0
-
-
-@dataclass(frozen=True)
-class SparseDirectionSolution:
-    """Optimal direction of a sparsity-constrained subproblem.
-
-    ``d`` is full length and satisfies ``x + d`` feasible for the queried
-    point; ``support`` is the index set attaining the optimum (lexicographic
-    first among ties) and ``lam`` the optimal simplex weights on it.
-    """
-
-    d: np.ndarray
-    support: SupportSet
-    theta: float
-    lam: np.ndarray
 
 
 def _scores(grads, x, L, K) -> np.ndarray:
@@ -360,7 +344,7 @@ def _subspace_direction(grads, I, cols) -> DirectionSolution:
     return DirectionSolution(d=d_full, lam=sol.lam, theta=min(sol.theta, 0.0))
 
 
-def theta_feasible(p, x, s) -> SparseDirectionSolution:
+def theta_feasible(p, x, s) -> DirectionSolution:
     """Pareto-stationarity measure: steepest feasible descent at ``x``.
 
     A direction v is feasible at x exactly when x + t v stays in Omega for
@@ -374,10 +358,10 @@ def theta_feasible(p, x, s) -> SparseDirectionSolution:
     # theta_L's search at the origin (zero offsets), L = 1, support of x forced in
     best_J = _best_support(grads, np.zeros(p.n), 1.0, s, support(x))[0]
     sol = _subspace_direction(grads, None, best_J.as_array())
-    return SparseDirectionSolution(d=sol.d, support=best_J, theta=sol.theta, lam=sol.lam)
+    return DirectionSolution(d=sol.d, lam=sol.lam, theta=sol.theta, support=best_J)
 
 
-def theta_L(p, x, s, L) -> SparseDirectionSolution:
+def theta_L(p, x, s, L) -> DirectionSolution:
     """Proximal stationarity measure with curvature ``L``.
 
     Globally solves ``min max_j grad_j^T d + (L/2)||d||^2`` over directions
@@ -406,7 +390,7 @@ def theta_L(p, x, s, L) -> SparseDirectionSolution:
     # d = 0 is feasible, so the true optimum is <= 0 regardless of K.
     theta = min(sol.theta, 0.0)
     assert is_feasible(x + d_full, s)
-    return SparseDirectionSolution(d=d_full, support=best_K, theta=theta, lam=sol.lam)
+    return DirectionSolution(d=d_full, lam=sol.lam, theta=theta, support=best_K)
 
 
 def is_L_stationary(p, x, s, L, eps: float = STATIONARITY_EPS) -> bool:

@@ -317,8 +317,9 @@ def _power_spectral_norm(R: np.ndarray) -> float:
 def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
     """Biobjective sparse logistic regression: mean logistic loss vs 0.5||w||^2.
 
-    ``R`` holds one sample per row, labels ``t`` are +-1.  The loss gradient
-    is ``-(1/N) sum_i t_i sigma(-t_i w^T r_i) r_i``; the cached Lipschitz
+    ``R`` holds one sample per row, labels ``t`` are +-1; an ``R`` with no
+    nonzero entry is a :class:`DataError`.  The loss gradient is
+    ``-(1/N) sum_i t_i sigma(-t_i w^T r_i) r_i``; the cached Lipschitz
     constants are ``(||R^T R||_2 / N, 1)``, the first estimated from below
     by :func:`_power_spectral_norm`.
 
@@ -364,6 +365,8 @@ def logistic_problem(R: np.ndarray, t: np.ndarray) -> MultiObjectiveProblem:
         raise DataError(f"labels must have shape ({N},), got {t.shape}")
     if not np.all(np.abs(t) == 1.0):
         raise DataError("labels must be -1 or +1")
+    if not np.any(R):
+        raise DataError("sample matrix has no nonzero entry, so no feature to fit")
     L1 = _power_spectral_norm(R) / N
     from scipy.special import expit  # here, so quadratic-only runs never load scipy
 
@@ -411,9 +414,10 @@ def load_dataset(path, label_column: str):
     Rows with any missing cell ('', '?', 'NA', 'NaN') are dropped and their
     count reported as a warning.  Feature columns are standardized to zero
     mean and unit population standard deviation; a constant column becomes
-    all zeros (with a warning).  Labels may be {0, 1} (mapped to {-1, +1})
-    or already {-1, +1}.  Every other cell must be a finite number, or
-    :class:`DataError` names its row and column.
+    all zeros (with a warning).  At least one feature column must vary, or
+    :class:`DataError` names the file.  Labels may be {0, 1} (mapped to
+    {-1, +1}) or already {-1, +1}.  Every other cell must be a finite
+    number, or :class:`DataError` names its row and column.
     """
     header, table = read_table(path)
     header = [h.strip() for h in header]
@@ -435,6 +439,8 @@ def load_dataset(path, label_column: str):
     data = np.array(rows, dtype=float)
     labels = data[:, label_idx]
     feats = np.delete(data, label_idx, axis=1)
+    if feats.shape[1] == 0:
+        raise DataError(f"{path}: no feature column besides the label column {label_column!r}")
 
     values = set(np.unique(labels).tolist())
     if values <= {0.0, 1.0}:
@@ -449,6 +455,8 @@ def load_dataset(path, label_column: str):
     constant = sd == 0.0
     if np.any(constant):
         names = [h for h, c in zip([h for i, h in enumerate(header) if i != label_idx], constant) if c]
+        if np.all(constant):
+            raise DataError(f"{path}: every feature column is constant: {names}")
         warnings.warn(f"{path}: constant columns standardized to zero: {names}", stacklevel=2)
     sd_safe = np.where(constant, 1.0, sd)
     standardized = (feats - mean) / sd_safe

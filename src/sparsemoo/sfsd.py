@@ -34,7 +34,6 @@ from .solvers import (
     SolverConfig,
     armijo_common,
     backtrack,
-    default_config,
     default_lambda_grid,
     mohyb,
     moiht,
@@ -256,7 +255,7 @@ def crowding_distance(fvals) -> np.ndarray:
 
 
 def assign_super_support(p: MultiObjectiveProblem, x: np.ndarray, s: int,
-                         cfg: SolverConfig | None = None):
+                         cfg: SolverConfig):
     """Attach a super support set to ``x``, descending first if it can move.
 
     A full-support point has a unique super support.  Otherwise, while the
@@ -266,14 +265,13 @@ def assign_super_support(p: MultiObjectiveProblem, x: np.ndarray, s: int,
     with the smallest unused indices.  Returns ``(point, SupportSet)``.
     """
     x, s = check_point(x, s, p.n)
-    cfg = cfg if cfg is not None else default_config(p)
     for _ in range(1000):
         if l0_norm(x) == s:
             break  # the support is the only super support
         sol = theta_feasible(p, x, s)
         if sol.theta > -cfg.eps:
             break
-        alpha = armijo_common(p, x, sol.d, sol.theta, None, cfg)
+        alpha = armijo_common(p, x, sol.d, sol.theta, cfg=cfg)
         if alpha == 0.0:
             break
         x = x + alpha * sol.d
@@ -298,8 +296,9 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
     are ``None``.  ``n_starts`` must be an integer ``>= 1`` and ``seed``
     one ``>= 0`` for every strategy.
 
-    With ``deadline`` (a ``time.monotonic()`` stamp) no new start is
-    processed past the deadline; results are otherwise deterministic.
+    With ``deadline`` (a ``time.monotonic()`` stamp) no new start is drawn
+    or processed past the deadline, so it bounds any ``n_starts``; results
+    are otherwise deterministic.
     """
     s = check_budget(s, p.n)
     check_number("n_starts", n_starts, 1, integer=True)
@@ -313,12 +312,12 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
     lo = float(check_number("box lo", lo, -np.inf))
     hi = float(check_number("box hi", hi, lo, open_low=True))
     rng = np.random.default_rng(seed)
-    starts = lo + (hi - lo) * rng.random((n_starts, p.n))
     points, counts = [], []
-    for start in starts:
+    for _ in range(n_starts):
         if deadline is not None and time.monotonic() > deadline:
             break
-        x0 = project_sparse(start, s)
+        # drawn one at a time: the same bits as row i of one (n_starts, n) draw
+        x0 = project_sparse(lo + (hi - lo) * rng.random(p.n), s)
         if strategy == "moiht":
             x, trace = moiht(p, x0, s, cfg)
             counts.append(len(trace.iterates) - 1)
@@ -333,7 +332,7 @@ def solve_starts(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
 
 
 def initialize(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
-               seed: int, box, cfg: SolverConfig | None = None,
+               seed: int, box, cfg: SolverConfig,
                deadline: float | None = None) -> ParetoArchive:
     """Phase one: multi-start a single-point solver and archive the results.
 
@@ -342,7 +341,6 @@ def initialize(p: MultiObjectiveProblem, s: int, strategy: str, n_starts: int,
     filtered out.  Entries with non-finite objective values are dropped;
     the archive may come out empty.
     """
-    cfg = cfg if cfg is not None else default_config(p)
     points, _ = solve_starts(p, s, strategy, n_starts, seed, box, cfg, deadline)
     entries = []
     for x in points:
@@ -379,7 +377,8 @@ def _exploration_step(p, work: ParetoArchive, z_entry: ArchiveEntry, d: np.ndarr
                       cfg: SolverConfig, spacing: float):
     """Largest alpha0*delta^h step beating every key mate on some objective.
 
-    The key mates are the entries of ``work`` under ``z_entry.J``.
+    The key mates are the entries of ``work`` under ``z_entry.J``; the
+    caller has checked that z is one of them.
 
     With ``spacing > 0`` a candidate is also rejected when its objective
     vector lands within ``spacing`` of some mate's, measured per objective
@@ -388,10 +387,10 @@ def _exploration_step(p, work: ParetoArchive, z_entry: ArchiveEntry, d: np.ndarr
     ``(alpha, point, fvals)`` or ``(0.0, None, None)`` when every candidate
     fails (the step is then skipped entirely).
 
-    When z is one of the mates, with a ``p.line`` model the search ends at
-    the first step the model proves lands within ``spacing`` of z itself
-    (:func:`_spacing_floor`): every smaller step does too.  The result is
-    the same as without the model.
+    With a ``p.line`` model the search ends at the first step the model
+    proves lands within ``spacing`` of z itself (:func:`_spacing_floor`):
+    every smaller step does too.  The result is the same as without the
+    model.
     """
     mate_F = work.arrays(z_entry.J)[1]
     if spacing > 0.0 and mate_F.shape[0] > 1:
@@ -405,7 +404,7 @@ def _exploration_step(p, work: ParetoArchive, z_entry: ArchiveEntry, d: np.ndarr
             scale is None or not (np.abs(fc - mate_F) / scale <= spacing).all(axis=1).any())
 
     floor = 0.0
-    if scale is not None and p.line is not None and work.contains(z_entry):
+    if scale is not None and p.line is not None:
         floor = _spacing_floor(p.line(z_entry.x, d), scale.tolist(), spacing)
     return backtrack(p, z_entry.x, d, cfg, accept, (floor, math.inf))
 
@@ -503,7 +502,7 @@ def _process_entry(p, work: ParetoArchive, entry: ArchiveEntry, cfg: SolverConfi
     sol = theta_subspace(p, entry.x, entry.J, grads=entry.gradient(p))
     alpha = 0.0
     if sol.theta < -THETA_TOL:
-        alpha = armijo_common(p, entry.x, sol.d, sol.theta, None, cfg, fx=entry.fvals)
+        alpha = armijo_common(p, entry.x, sol.d, sol.theta, cfg=cfg, fx=entry.fvals)
     if alpha > 0.0:
         z = entry.x + alpha * sol.d
         fz = np.asarray(p.evaluate(z), dtype=float)

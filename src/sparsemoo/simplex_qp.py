@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import SupportSet
+
 # Pricing tolerance of the active-set method, relative to max|H| + max|b|.
 _TOL = 1e-13
 
@@ -33,12 +35,15 @@ class DirectionSolution:
 
     ``d`` spans whatever coordinate block the caller handed in: the free
     block for :func:`solve_simplex_qp`, the full space for the wrappers in
-    :mod:`sparsemoo.directions`.
+    :mod:`sparsemoo.directions`.  ``theta_L`` and ``theta_feasible`` also
+    set ``support``, the index set attaining the optimum (lexicographic
+    first among ties) on which ``lam`` was solved.
     """
 
     d: np.ndarray
     lam: np.ndarray
     theta: float
+    support: SupportSet | None = None
 
 
 # The helpers below use ndarray.dot, the BLAS call ``@`` makes with less

@@ -249,17 +249,13 @@ def armijo_step(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray, theta: f
 
 
 def armijo_common(p: MultiObjectiveProblem, x: np.ndarray, d: np.ndarray,
-                  theta: float, I: None, cfg: SolverConfig, *,
+                  theta: float, *, cfg: SolverConfig,
                   fx: np.ndarray | None = None) -> float:
     """The step of :func:`armijo_step` (same checks), or 0.0 if none qualifies.
 
     A caller that holds ``f(x)`` passes it as ``fx`` (shape ``(m,)``, else
-    ``ValueError``) and it is not evaluated again.  ``I`` must be ``None``
-    (every objective; anything else is a ``ValueError``): the slot stays so
-    that ``cfg`` keeps its position, where ``bench/tracing.py`` reads it.
+    ``ValueError``) and it is not evaluated again.
     """
-    if I is not None:
-        raise ValueError("the Armijo search tests every objective; I must be None")
     return armijo_step(p, x, d, theta, cfg, fx)[0]
 
 

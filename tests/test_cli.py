@@ -1,7 +1,10 @@
 import dataclasses
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +19,20 @@ from sparsemoo.problems import read_table
 from sparsemoo.sfsd import N_STARTS
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_tie_instance(path):
+    # Q1 = Q2 = I and c = 0 tie every support, so the screen fixes nothing
+    # and C(30, 15) supports are left to score
+    n = 30
+    eye, zero = np.eye(n).tolist(), [0.0] * n
+    path.write_text(json.dumps({"type": "quadratic", "n": n, "kappa": 1.0, "seed": 0,
+                                "s": 15, "Q1": eye, "Q2": eye, "c1": zero, "c2": zero}))
 
 
 class TestGenerate:
@@ -169,12 +182,8 @@ class TestFront:
         assert {ln.split(",")[2] for ln in lines[1:]} <= {"1", "2"}
 
     def test_capacity_exit_code(self, tmp_path):
-        # Q1 = Q2 = I and c = 0 tie every support, so the screen fixes nothing
-        # and C(30, 15) supports are left to score
-        n, inst = 30, tmp_path / "ties.json"
-        eye, zero = np.eye(n).tolist(), [0.0] * n
-        inst.write_text(json.dumps({"type": "quadratic", "n": n, "kappa": 1.0, "seed": 0,
-                                    "s": 15, "Q1": eye, "Q2": eye, "c1": zero, "c2": zero}))
+        inst = tmp_path / "ties.json"
+        write_tie_instance(inst)
         assert run("solve", "--instance", inst, "--strategy", "scalarized",
                    "--n-starts", 1, "--out", tmp_path / "f.csv") == 3
 
@@ -247,6 +256,13 @@ class TestFront:
         out = tmp_path / "front.csv"
         assert run("front", "--instance", ex4, "--strategy", "moiht",
                    "--n-starts", 3, "--budget", 4, "--wallclock", 30,
+                   "--out", out) == 0
+        assert out.exists()
+
+    def test_wallclock_bounds_a_huge_n_starts(self, ex4, tmp_path):
+        # 2**62 starts could never be drawn at once; --wallclock stops them
+        out = tmp_path / "front.csv"
+        assert run("front", "--instance", ex4, "--n-starts", 2**62, "--wallclock", 1,
                    "--out", out) == 0
         assert out.exists()
 
@@ -338,6 +354,18 @@ class TestInputFiles:
             in capsys.readouterr().err
         assert not out.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("y\n0\n1\n1\n0\n", "no feature column besides the label column 'y'"),
+        ("a,b,y\n1,7,0\n1,7,1\n1,7,0\n", "every feature column is constant: ['a', 'b']"),
+    ], ids=["label_only", "all_constant"])
+    def test_dataset_without_usable_feature(self, tmp_path, capsys, text, message):
+        data, out = tmp_path / "d.csv", tmp_path / "f.csv"
+        data.write_text(text)
+        assert run("front", "--dataset", data, "--label-column", "y", "--s", 1,
+                   "--out", out) == 1
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,7 +554,10 @@ class TestMetricsAndProfiles:
         ("solver,purity,gamma_spread,delta_spread,hypervolume\n"
          "x,1.0,1.0,0.5,1.0\ny,1.0,1.0,0.5,1.0\nx,0.5,1.0,0.5,1.0\n",
          ":4: solver 'x' repeats line 2"),
-    ], ids=["missing_columns", "non_numeric_cell", "short_row", "extra_cell", "repeated_solver"])
+        ("solver,purity,gamma_spread,delta_spread,hypervolume\nx,1.0,nan,0.5,1.0\n",
+         ":2: cell 'nan' in column 'gamma_spread' is not a number"),
+    ], ids=["missing_columns", "non_numeric_cell", "short_row", "extra_cell", "repeated_solver",
+            "nan_cell"])
     def test_bad_metrics_csv_rejected(self, tmp_path, capsys, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)
@@ -750,6 +781,40 @@ def test_instance_refuses_flags_it_would_ignore(tmp_path, capsys, command, flags
     assert run(command, "--instance", inst, *flags, "--n-starts", 2, "--out", out) == 1
     assert f"error: {named} cannot be used with --instance" in capsys.readouterr().err
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+class TestProcessExitCodes:
+    """README's exit codes, from ``python -m sparsemoo.cli`` run as a process."""
+
+    # (exit code, stderr prefix, arguments); {tmp} is the test's directory
+    CASES = {
+        "generate": (0, None, ["generate", "--example4", "--s", "1", "--out", "{tmp}/g.json"]),
+        "out_of_range_flag": (1, "error: budget must be",
+                              ["front", "--instance", "{tmp}/ex4.json", "--budget", "-3",
+                               "--out", "{tmp}/f.csv"]),
+        "header_only_front": (2, "empty result:",
+                              ["metrics", "--front", "A={tmp}/empty.csv", "--out", "{tmp}/m.csv"]),
+        "capacity": (3, "capacity:", ["solve", "--instance", "{tmp}/ties.json", "--strategy",
+                                      "scalarized", "--n-starts", "1", "--out", "{tmp}/f.csv"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code(self, tmp_path, case):
+        code, prefix, argv = self.CASES[case]
+        assert run("generate", "--example4", "--s", 1, "--out", tmp_path / "ex4.json") == 0
+        (tmp_path / "empty.csv").write_text("f1,f2,support,x_1,x_2\n")
+        write_tie_instance(tmp_path / "ties.json")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "sparsemoo.cli", *(a.format(tmp=tmp_path) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        if prefix is None:
+            assert done.stderr == "" and done.stdout.startswith("wrote ")
+        else:
+            assert done.stderr.startswith(prefix), done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestTopLevel:

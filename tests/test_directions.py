@@ -49,6 +49,7 @@ class TestThetaSubspace:
         np.testing.assert_allclose(sol.lam, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(sol.d, [1.0, 0.0], atol=1e-12)
         assert sol.theta == pytest.approx(-0.5, abs=1e-12)
+        assert sol.support is None  # J is the caller's; only the sparse measures pick one
 
     def test_zero_gradients(self):
         sol = theta_subspace(zero_gradient_problem(), np.zeros(3), SupportSet((0, 2), 3))

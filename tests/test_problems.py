@@ -125,6 +125,11 @@ class TestLogistic:
         with pytest.raises(DataError):
             logistic_problem(np.ones((2, 2)), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("R", [np.zeros((3, 2)), np.zeros((3, 0))], ids=["zeros", "no_column"])
+    def test_all_zero_samples_rejected(self, R):
+        with pytest.raises(DataError, match="sample matrix has no nonzero entry"):
+            logistic_problem(R, np.array([1.0, -1.0, 1.0]))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         R = rng.normal(size=(40, 6))
@@ -225,6 +230,16 @@ class TestLoadDataset:
         with pytest.warns(UserWarning, match="constant"):
             R, _ = load_dataset(path, "y")
         np.testing.assert_array_equal(R[:, 1], np.zeros(3))
+
+    @pytest.mark.parametrize("text, message", [
+        ("y\n0\n1\n", "no feature column besides the label column 'y'"),
+        ("a,b,y\n1,7,0\n1,7,1\n", "every feature column is constant: ['a', 'b']"),
+    ], ids=["label_only", "all_constant"])
+    def test_no_usable_feature_rejected(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path, "y")
 
     def test_bad_labels_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -129,12 +129,14 @@ class TestFilterNondominated:
 
 class TestAssignSuperSupport:
     def test_full_support_unique(self, example_problem):
-        x, J = assign_super_support(example_problem, np.array([2.0, 0.0]), 1)
+        x, J = assign_super_support(example_problem, np.array([2.0, 0.0]), 1,
+                                    default_config(example_problem))
         np.testing.assert_array_equal(x, [2.0, 0.0])
         assert J.indices == (0,)
 
     def test_descent_activates_coordinate(self, example_problem):
-        x, J = assign_super_support(example_problem, np.zeros(2), 1)
+        x, J = assign_super_support(example_problem, np.zeros(2), 1,
+                                    default_config(example_problem))
         assert J.indices == (0,)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)  # one Armijo step
 
@@ -145,13 +147,14 @@ class TestAssignSuperSupport:
             gradient=lambda x: np.zeros((2, 4)),
             lipschitz=np.ones(2),
         )
-        x, J = assign_super_support(p, np.zeros(4), 2)
+        x, J = assign_super_support(p, np.zeros(4), 2, default_config(p))
         np.testing.assert_array_equal(x, np.zeros(4))
         assert J.indices == (0, 1)
 
     def test_infeasible_rejected(self, example_problem):
         with pytest.raises(ValueError, match="nonzeros is infeasible"):
-            assign_super_support(example_problem, np.array([1.0, 1.0]), 1)
+            assign_super_support(example_problem, np.array([1.0, 1.0]), 1,
+                                 default_config(example_problem))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
@@ -165,7 +168,7 @@ class TestAssignSuperSupport:
             p = replace(p, gradient=lambda x: np.zeros((2, n)))
         start = np.random.default_rng(seed).normal(size=n)
         start = project_sparse(start, min(nonzeros, s)) if nonzeros else np.zeros(n)
-        x, J = assign_super_support(p, start, s)
+        x, J = assign_super_support(p, start, s, default_config(p))
         assert J == super_supports(x, s)[0]
 
 
@@ -392,7 +395,8 @@ class TestInitialize:
 
     def test_unknown_strategy(self, example_problem):
         with pytest.raises(ValueError):
-            initialize(example_problem, 1, "annealing", 2, 0, (-2.0, 2.0))
+            initialize(example_problem, 1, "annealing", 2, 0, (-2.0, 2.0),
+                       default_config(example_problem))
 
     def test_nonfinite_outputs_dropped(self):
         bad = MultiObjectiveProblem(
@@ -404,9 +408,16 @@ class TestInitialize:
         arch = initialize(bad, 1, "moiht", 3, 0, (-1.0, 1.0), SolverConfig(L=1.1))
         assert len(arch) == 0
 
+    def test_past_deadline_draws_no_start(self, example_problem):
+        # 2**62 starts could never be drawn at once; the deadline stops them first
+        cfg = default_config(example_problem)
+        assert sfsd.solve_starts(example_problem, 1, "moiht", 2**62, 0, (-2.0, 2.0), cfg,
+                                 deadline=time.monotonic() - 1) == ([], [])
+
     def test_n_starts_validation(self, example_problem):
         with pytest.raises(ValueError):
-            initialize(example_problem, 1, "moiht", 0, 0, (-2.0, 2.0))
+            initialize(example_problem, 1, "moiht", 0, 0, (-2.0, 2.0),
+                       default_config(example_problem))
 
     def test_full_support_outputs_evaluated_once(self, example_problem, monkeypatch):
         # a full-support output is its own super support: the objectives taken

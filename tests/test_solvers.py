@@ -122,13 +122,13 @@ class TestArmijo:
     def test_full_step_accepted(self):
         p = single_objective_quadratic(np.zeros(1))
         cfg = SolverConfig(L=1.0)
-        alpha = armijo_common(p, np.array([1.0]), np.array([-1.0]), -0.5, None, cfg)
+        alpha = armijo_common(p, np.array([1.0]), np.array([-1.0]), -0.5, cfg=cfg)
         assert alpha == 1.0
 
     def test_nonnegative_theta_rejected(self, example_problem):
         cfg = SolverConfig(L=1.0)
         with pytest.raises(ValueError):
-            armijo_common(example_problem, np.zeros(2), np.ones(2), 0.0, None, cfg)
+            armijo_common(example_problem, np.zeros(2), np.ones(2), 0.0, cfg=cfg)
 
     def test_quartic_needs_one_halving(self):
         def ev(x):
@@ -142,7 +142,7 @@ class TestArmijo:
         cfg = SolverConfig(L=1.0)
         # from x=1 along d=-2: full step lands at f(-1)=1 (no decrease),
         # half step lands at f(0)=0
-        alpha = armijo_common(p, np.array([1.0]), np.array([-2.0]), -1.0, None, cfg)
+        alpha = armijo_common(p, np.array([1.0]), np.array([-2.0]), -1.0, cfg=cfg)
         assert alpha == 0.5
         assert ev(np.array([1.0 - 2.0]))[0] > ev(np.array([1.0]))[0] - 1e-4
         assert ev(np.array([1.0 - 1.0]))[0] <= ev(np.array([1.0]))[0] - 1e-4 * 0.5
@@ -158,7 +158,7 @@ class TestArmijo:
         p = MultiObjectiveProblem(n=1, m=1, evaluate=ev, gradient=grad,
                                   lipschitz=np.array([1.0]))
         cfg = SolverConfig(L=1.0)
-        alpha = armijo_common(p, np.zeros(1), np.array([1.0]), -1.0, None, cfg)
+        alpha = armijo_common(p, np.zeros(1), np.array([1.0]), -1.0, cfg=cfg)
         assert alpha == 0.0
 
 
@@ -175,8 +175,8 @@ class TestArmijoKnownValues:
         count = 0
         for p, x, sol in self.cases():
             cfg = default_config(p)
-            plain = armijo_common(p, x, sol.d, sol.theta, None, cfg)
-            known = armijo_common(p, x, sol.d, sol.theta, None, cfg, fx=p.evaluate(x))
+            plain = armijo_common(p, x, sol.d, sol.theta, cfg=cfg)
+            known = armijo_common(p, x, sol.d, sol.theta, cfg=cfg, fx=p.evaluate(x))
             assert np.float64(known).tobytes() == np.float64(plain).tobytes()
             count += 1
         assert count >= 12
@@ -185,10 +185,10 @@ class TestArmijoKnownValues:
         for p, x, sol in self.cases():
             cfg = default_config(p)
             rp, seen = recording(p)
-            armijo_common(rp, x, sol.d, sol.theta, None, cfg)
+            armijo_common(rp, x, sol.d, sol.theta, cfg=cfg)
             plain = list(seen)
             seen.clear()
-            armijo_common(rp, x, sol.d, sol.theta, None, cfg, fx=p.evaluate(x))
+            armijo_common(rp, x, sol.d, sol.theta, cfg=cfg, fx=p.evaluate(x))
             # the plain search evaluates f(x) first, then the same trials
             assert plain[0] == x.tobytes()
             assert seen == plain[1:]
@@ -199,20 +199,12 @@ class TestArmijoKnownValues:
         x, d = np.array([0.0, 0.5]), np.array([1.0, 0.0])
         for fx in (np.zeros(3), np.zeros((2, 1)), np.zeros(1), 0.0):
             with pytest.raises(ValueError, match="fx"):
-                armijo_common(example_problem, x, d, -0.5, None, cfg, fx=fx)
-
-    def test_objective_subset_rejected(self, example_problem):
-        # the search tests every objective; the I slot only keeps cfg's position
-        cfg = SolverConfig(L=1.0)
-        x, d = np.array([0.0, 0.5]), np.array([1.0, 0.0])
-        for I in ([0], [0, 1], ()):
-            with pytest.raises(ValueError, match="every objective"):
-                armijo_common(example_problem, x, d, -0.5, I, cfg)
+                armijo_common(example_problem, x, d, -0.5, cfg=cfg, fx=fx)
 
     def test_fx_is_keyword_only(self, example_problem):
         cfg = SolverConfig(L=1.0)
         with pytest.raises(TypeError):
-            armijo_common(example_problem, np.zeros(2), np.ones(2), -0.5, None, cfg, np.zeros(2))
+            armijo_common(example_problem, np.zeros(2), np.ones(2), -0.5, np.zeros(2), cfg=cfg)
 
 
 class TestMosd:
@@ -328,7 +320,7 @@ class TestMospd:
         cfg = SolverConfig(L=1.01, tau0=1.0)
         x0 = project_sparse(np.array([2.0, 2.0]), 1)
         y, _ = mospd(example_problem, x0, 1, cfg)
-        _, J = assign_super_support(example_problem, y, 1)
+        _, J = assign_super_support(example_problem, y, 1, default_config(example_problem))
         assert theta_subspace(example_problem, y, J).theta >= -1e-4
 
     def test_infeasible_start_rejected(self, example_problem):
